@@ -3,13 +3,14 @@
 // (BF?, time-to-bug in seconds, #NDC — the number of nondeterministic
 // choices in the first execution that found the bug).
 //
-// Every non-gbench bench accepts a `--json` flag (see ParseArgs): instead of
+// Every bench accepts a `--json` flag (see ParseArgs): instead of
 // the human-readable table it then emits one JSON object per row of the form
 //   {"bench":..., "executions_per_sec":..., "steps_per_sec":..., "config":...}
 // which is the line format collected in BENCH_baseline.json and by the CI
 // perf-smoke job.
 #pragma once
 
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <string_view>
@@ -23,6 +24,51 @@
 
 namespace bench {
 
+/// The rally ball of the micro workloads: `n` counts the bounces so far
+/// (PingPong) or still to go (parallel_speedup's paddles).
+struct Ball final : systest::Event {
+  explicit Ball(int n) : n(n) {}
+  int n;
+};
+
+/// One side of a two-machine rally that bounces a Ball `rounds` times: the
+/// raw scheduling-step workload (nearly every step is a delivery).
+class PingPong final : public systest::Machine {
+ public:
+  /// Execution recycling: rounds_/serve_ are const-after-ctor and peer_ is
+  /// patched exactly once at harness time (the machine OBJECT persists across
+  /// resets, so the patch persists with it).
+  static constexpr bool kReusableRuntime = true;
+
+  PingPong(systest::MachineId peer, int rounds, bool serve)
+      : peer_(peer), rounds_(rounds), serve_(serve) {
+    State("Play").OnEntry(&PingPong::OnStart).On<Ball>(&PingPong::OnBall);
+    SetStart("Play");
+  }
+  systest::MachineId peer_;
+
+ private:
+  void OnStart() {
+    if (serve_) {
+      Send<Ball>(peer_, 0);
+    }
+  }
+  void OnBall(const Ball& ball) {
+    if (ball.n < rounds_) {
+      Send<Ball>(peer_, ball.n + 1);
+    }
+  }
+  int rounds_;
+  bool serve_;
+};
+
+/// Populates `rt` with a PingPong rally of `rounds` bounces.
+inline void SetUpPingPong(systest::Runtime& rt, int rounds) {
+  auto a = rt.CreateMachine<PingPong>("A", systest::MachineId{}, rounds, false);
+  auto b = rt.CreateMachine<PingPong>("B", a, rounds, true);
+  static_cast<PingPong*>(rt.FindMachine(a))->peer_ = b;
+}
+
 struct RowResult {
   bool found = false;
   double seconds = 0.0;
@@ -31,6 +77,12 @@ struct RowResult {
   double executions_per_sec = 0.0;
   double steps_per_sec = 0.0;
 };
+
+/// Wall seconds elapsed since `start`.
+inline double Seconds(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+      .count();
+}
 
 /// Global output mode toggled by --json on any bench command line.
 inline bool& JsonMode() {

@@ -1,6 +1,6 @@
-// Metrics-plane overhead bench, no google-benchmark dependency — the cost of
-// running a campaign with the observability plane armed. Two workloads, each
-// measured with the probe detached and attached:
+// Metrics-plane overhead bench: the cost of running a campaign with the
+// observability plane armed. Two workloads, each measured with the probe
+// detached and attached:
 //
 //   pingpong     raw scheduling-step throughput on a two-machine rally (the
 //                worst case: nearly every step is a delivery, so the probe's
@@ -31,51 +31,15 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-using systest::Event;
-using systest::Machine;
-using systest::MachineId;
-
-struct Ball final : Event {
-  explicit Ball(int n) : n(n) {}
-  int n;
-};
-
-class PingPong final : public Machine {
- public:
-  PingPong(MachineId peer, int rounds, bool serve)
-      : peer_(peer), rounds_(rounds), serve_(serve) {
-    State("Play").OnEntry(&PingPong::OnStart).On<Ball>(&PingPong::OnBall);
-    SetStart("Play");
-  }
-  MachineId peer_;
-
- private:
-  void OnStart() {
-    if (serve_) {
-      Send<Ball>(peer_, 0);
-    }
-  }
-  void OnBall(const Ball& ball) {
-    if (ball.n < rounds_) {
-      Send<Ball>(peer_, ball.n + 1);
-    }
-  }
-  int rounds_;
-  bool serve_;
-};
-
-double Seconds(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
+using bench::Seconds;
 
 struct Measurement {
   double steps_per_sec = 0.0;
   double exec_per_sec = 0.0;
 };
 
-/// Raw Runtime stepping with an optional probe attached, mirroring
-/// micro_steps' pingpong loop so the off numbers are comparable.
+/// Raw Runtime stepping of bench::PingPong rallies with an optional probe
+/// attached: the probe's per-step cost with nothing else around it.
 Measurement RunPingPong(std::uint64_t executions, bool metrics_on) {
   const int rounds = 1'000;
   systest::obs::MetricsRegistry registry;
@@ -94,9 +58,7 @@ Measurement RunPingPong(std::uint64_t executions, bool metrics_on) {
       options.probe = &obs.probe;
     }
     systest::Runtime rt(strategy, options);
-    auto a = rt.CreateMachine<PingPong>("A", MachineId{}, rounds, false);
-    auto b = rt.CreateMachine<PingPong>("B", a, rounds, true);
-    static_cast<PingPong*>(rt.FindMachine(a))->peer_ = b;
+    bench::SetUpPingPong(rt, rounds);
     while (rt.Step()) {
     }
     steps += rt.Steps();

@@ -1,10 +1,8 @@
-// Runtime hot-path microbench, no google-benchmark dependency — the
-// `micro_runtime`-equivalent that always builds. Measures the serialized
-// execution core the way the paper's 100k-execution budgets stress it:
+// Runtime hot-path microbench. Measures the serialized execution core the
+// way the paper's 100k-execution budgets stress it:
 //
 //   pingpong_steps    raw scheduling-step throughput (send/dequeue/dispatch)
-//                     on a two-machine rally, the non-gbench twin of
-//                     BM_PingPongSteps
+//                     on a two-machine rally (bench::PingPong)
 //   samplerepl_exec   whole-execution throughput (setup + run to quiescence
 //                     + teardown) of the §2.2 case-study harness under the
 //                     random scheduler — the table2 throughput metric
@@ -23,48 +21,7 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-using systest::Event;
-using systest::Machine;
-using systest::MachineId;
-
-struct Ball final : Event {
-  explicit Ball(int n) : n(n) {}
-  int n;
-};
-
-class PingPong final : public Machine {
- public:
-  /// Execution recycling: rounds_/serve_ are const-after-ctor and peer_ is
-  /// patched exactly once at harness time (the machine OBJECT persists across
-  /// resets, so the patch persists with it).
-  static constexpr bool kReusableRuntime = true;
-
-  PingPong(MachineId peer, int rounds, bool serve)
-      : peer_(peer), rounds_(rounds), serve_(serve) {
-    State("Play").OnEntry(&PingPong::OnStart).On<Ball>(&PingPong::OnBall);
-    SetStart("Play");
-  }
-  MachineId peer_;
-
- private:
-  void OnStart() {
-    if (serve_) {
-      Send<Ball>(peer_, 0);
-    }
-  }
-  void OnBall(const Ball& ball) {
-    if (ball.n < rounds_) {
-      Send<Ball>(peer_, ball.n + 1);
-    }
-  }
-  int rounds_;
-  bool serve_;
-};
-
-double Seconds(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
+using bench::Seconds;
 
 void RunPingPong(std::uint64_t executions) {
   const int rounds = 1000;
@@ -77,9 +34,7 @@ void RunPingPong(std::uint64_t executions) {
   config.seed = 42;
   config.strategy = "random";
   const systest::Harness harness = [rounds](systest::Runtime& rt) {
-    auto a = rt.CreateMachine<PingPong>("A", MachineId{}, rounds, false);
-    auto b = rt.CreateMachine<PingPong>("B", a, rounds, true);
-    static_cast<PingPong*>(rt.FindMachine(a))->peer_ = b;
+    bench::SetUpPingPong(rt, rounds);
   };
   systest::RandomStrategy strategy(config.seed);
   systest::ExecutionRunner runner(config, harness, strategy, nullptr);

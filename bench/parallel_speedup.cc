@@ -22,14 +22,9 @@
 
 namespace {
 
-using systest::Event;
+using bench::Ball;
 using systest::Machine;
 using systest::MachineId;
-
-struct Ball final : Event {
-  explicit Ball(int bounces_left) : bounces_left(bounces_left) {}
-  int bounces_left;
-};
 
 /// Two paddles bounce a ball a fixed number of times, with a nondet choice
 /// per bounce to exercise the trace path; the system always quiesces.
@@ -44,9 +39,9 @@ class Paddle final : public Machine {
 
  private:
   void OnBall(const Ball& ball) {
-    if (ball.bounces_left <= 0) return;
+    if (ball.n <= 0) return;  // n counts the bounces still to go
     (void)NondetBool();
-    Send<Ball>(peer_, ball.bounces_left - 1);
+    Send<Ball>(peer_, ball.n - 1);
   }
   MachineId peer_;
 };

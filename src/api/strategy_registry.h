@@ -1,9 +1,8 @@
 // SysTest public API layer.
 //
 // StrategyRegistry: the single construction site for scheduling strategies,
-// keyed by string name. It replaces the StrategyKind enum switch that used to
-// be duplicated across the serial engine, the parallel engine and the CLI —
-// and it makes strategies pluggable: a third-party strategy registered here
+// keyed by string name, shared by both engines and the CLI. It makes
+// strategies pluggable: a third-party strategy registered here
 // (via SYSTEST_REGISTER_STRATEGY or Register()) is immediately usable from
 // TestConfig::strategy, portfolio plans and `systest_run --strategy`.
 #pragma once

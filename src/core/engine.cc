@@ -10,6 +10,7 @@
 #include "api/strategy_registry.h"
 #include "core/event_arena.h"
 #include "corpus/trace_corpus.h"
+#include "explore/sharded_fingerprint_set.h"
 #include "obs/campaign.h"
 
 namespace systest {
@@ -216,14 +217,22 @@ bool StepFromSetupStateful(Runtime& runtime, std::uint64_t max_steps,
   return true;
 }
 
-bool StepToCompletionStateful(Runtime& runtime, const Harness& harness,
-                              std::uint64_t max_steps,
-                              std::uint64_t prune_run,
-                              std::uint64_t prune_holdoff, VisitedSet& visited,
-                              ExecutionResult& result) {
-  harness(runtime);
-  return StepFromSetupStateful(runtime, max_steps, prune_run, prune_holdoff,
-                               visited, result);
+/// The campaign's visited set: the unsharded tiered set for one worker, one
+/// sharded set for several (nullptr for stateless campaigns).
+std::unique_ptr<VisitedSet> MakeVisitedSet(const TestConfig& config,
+                                           int workers) {
+  if (!config.stateful) return nullptr;
+  TieredOptions options;
+  options.max_entries = static_cast<std::size_t>(config.max_visited);
+  options.hot_entries = static_cast<std::size_t>(config.max_visited_hot);
+  options.spill_dir = config.visited_spill_dir;
+  if (!options.spill_dir.empty()) {
+    // Creation failure is non-fatal: runs then stay in memory.
+    std::error_code ec;
+    std::filesystem::create_directories(options.spill_dir, ec);
+  }
+  if (workers == 1) return std::make_unique<TieredFingerprintSet>(options);
+  return std::make_unique<explore::ShardedFingerprintSet>(options);
 }
 
 }  // namespace
@@ -232,52 +241,6 @@ bool StepToCompletion(Runtime& runtime, const Harness& harness,
                       std::uint64_t max_steps) {
   harness(runtime);
   return StepFromSetup(runtime, max_steps);
-}
-
-ExecutionResult RunOneExecution(const TestConfig& config,
-                                const Harness& harness,
-                                SchedulingStrategy& strategy,
-                                std::uint64_t iteration,
-                                VisitedSet* visited, obs::WorkerObs* obs) {
-  ExecutionResult result;
-  if (config.fault_placement_points > 0) {
-    // Arm pre-sampled fault placement before PrepareIteration samples the
-    // points (an int store per execution; strategies that don't sample stay
-    // on geometric placement).
-    strategy.SetFaultPlacementPoints(config.fault_placement_points);
-  }
-  strategy.PrepareIteration(iteration, config.max_steps);
-  RuntimeOptions options = MakeRuntimeOptions(config, false);
-  if (obs != nullptr) {
-    obs->BeginExecution();
-    options.probe = &obs->probe;
-  }
-  Runtime runtime(strategy, options);
-  try {
-    if (config.stateful && visited != nullptr) {
-      result.hit_step_bound = StepToCompletionStateful(
-          runtime, harness, config.max_steps, config.prune_run,
-          strategy.PruneHoldoffSteps(), *visited, result);
-    } else {
-      result.hit_step_bound =
-          StepToCompletion(runtime, harness, config.max_steps);
-    }
-  } catch (const BugFound& bug) {
-    result.bug_found = true;
-    result.bug_kind = bug.Kind();
-    result.bug_message = bug.what();
-  }
-  result.steps = runtime.Steps();
-  result.faults = runtime.GetFaultStats();
-  if (obs != nullptr) {
-    // Flush while the runtime is still alive: coverage walks its machines.
-    obs->FlushExecution(runtime, result, visited);
-  }
-  result.trace = runtime.TakeTrace();  // O(1): the runtime dies right here
-  if (config.stateful && config.record_fingerprint_trail) {
-    result.fingerprint_trail = runtime.TakeFingerprintTrail();
-  }
-  return result;
 }
 
 ExecutionRunner::ExecutionRunner(const TestConfig& config,
@@ -359,6 +322,8 @@ ExecutionResult ExecutionRunner::RunOne(std::uint64_t iteration,
                                         VisitedSet* visited) {
   ExecutionResult result;
   if (config_.fault_placement_points > 0) {
+    // Arm pre-sampled fault placement before PrepareIteration samples the
+    // points (strategies that don't sample stay on geometric placement).
     strategy_.SetFaultPlacementPoints(config_.fault_placement_points);
   }
   strategy_.PrepareIteration(iteration, config_.max_steps);
@@ -374,9 +339,6 @@ ExecutionResult ExecutionRunner::RunOne(std::uint64_t iteration,
       return result;
     }
     case Mode::kProbing: {
-      if (arena_ == nullptr) {
-        arena_ = std::make_unique<detail::EventArena>();
-      }
       {
         // Armed optimistically: if the seal succeeds this execution's live
         // events are already arena-backed, exactly like every later one.
@@ -401,97 +363,146 @@ ExecutionResult ExecutionRunner::RunOne(std::uint64_t iteration,
   return result;
 }
 
+Campaign::Campaign(const TestConfig& config, const Harness& harness,
+                   int workers, const CampaignOptions& options)
+    : config_(config),
+      harness_(harness),
+      options_(options),
+      visited_(MakeVisitedSet(config, workers)),
+      tallies_(static_cast<std::size_t>(workers)),
+      start_(Clock::now()) {}
+
+void Campaign::RunWorker(int worker, const TestConfig& worker_config,
+                         SchedulingStrategy& strategy,
+                         std::uint64_t iterations) {
+  // Per-worker observability handle on the worker's own stack: the probe
+  // and coverage accumulator are private (lock-free), only the flush into
+  // the shared sharded instruments crosses threads.
+  std::unique_ptr<obs::WorkerObs> worker_obs;
+  if (options_.metrics != nullptr) {
+    worker_obs = std::make_unique<obs::WorkerObs>(
+        *options_.metrics, static_cast<std::size_t>(worker), options_.coverage);
+  }
+  // One recycled Runtime (and one event arena) serves the worker's whole
+  // slice when the harness opted in (kReusableRuntime); otherwise the runner
+  // builds a fresh Runtime per iteration. Declared after worker_obs: the
+  // runner borrows it and must die first.
+  ExecutionRunner runner(worker_config, harness_, strategy, worker_obs.get());
+  // Tallied on the stack and published once at the end, so workers never
+  // share a cache line in the inner loop.
+  WorkerTally tally;
+  const auto worker_start = Clock::now();
+  for (std::uint64_t i = 0; i < iterations; ++i) {
+    if (stop_.load(std::memory_order_relaxed)) break;
+    if (config_.time_budget_seconds > 0 &&
+        SecondsSince(start_) >= config_.time_budget_seconds) {
+      break;
+    }
+    ExecutionResult result = runner.RunOne(i, visited_.get());
+    ++tally.executions;
+    tally.steps += result.steps;
+    tally.fingerprint_hits += result.fingerprint_hits;
+    tally.fingerprint_misses += result.fingerprint_misses;
+    if (result.pruned) ++tally.pruned_executions;
+    tally.injected_faults += result.faults;
+    if (options_.corpus != nullptr && config_.stateful &&
+        (result.fingerprint_misses > 0 || result.bug_found)) {
+      // Feed BEFORE the first-bug claim below moves the trace out. Heat =
+      // heatmap cells this execution visited first (0 without coverage).
+      options_.corpus->Add(
+          result.trace, result.fingerprint_misses,
+          worker_obs != nullptr ? worker_obs->LastNewStateCells() : 0);
+    }
+    if (options_.on_iteration) options_.on_iteration(worker, i, result);
+    if (result.bug_found) {
+      // Keep the FIRST violation; with stop_on_first_bug=false later buggy
+      // executions only contribute to the execution count.
+      tally.bug_found = true;
+      int expected = -1;
+      if (winner_.compare_exchange_strong(expected, worker,
+                                          std::memory_order_acq_rel)) {
+        tally.won = true;
+        bug_ = std::move(result);
+        bug_iteration_ = i;
+        bug_seconds_ = SecondsSince(start_);
+        if (config_.stop_on_first_bug) {
+          stop_.store(true, std::memory_order_release);
+        }
+      }
+      if (config_.stop_on_first_bug) break;
+    }
+  }
+  tally.seconds = SecondsSince(worker_start);
+  if (worker_obs != nullptr && options_.coverage) {
+    tally.coverage =
+        std::make_shared<obs::CoverageReport>(worker_obs->TakeCoverage());
+  }
+  tallies_[static_cast<std::size_t>(worker)] = std::move(tally);
+}
+
+TestReport Campaign::Fold() {
+  TestReport report;
+  for (const WorkerTally& tally : tallies_) {
+    report.executions += tally.executions;
+    report.total_steps += tally.steps;
+    report.pruned_executions += tally.pruned_executions;
+    report.fingerprint_hits += tally.fingerprint_hits;
+    report.fingerprint_misses += tally.fingerprint_misses;
+    report.injected_faults += tally.injected_faults;
+  }
+  report.total_seconds = SecondsSince(start_);
+  report.faults = config_.FaultsEnabled();
+  if (visited_ != nullptr) {
+    report.stateful = true;
+    report.distinct_states = visited_->Size();
+    report.visited_budget = config_.max_visited;
+    report.visited = visited_->Stats();
+  }
+  if (options_.metrics != nullptr && options_.coverage) {
+    // The campaign heatmap is exactly the sum of the per-worker reports
+    // (Merge is commutative/associative over named machines and events).
+    auto merged = std::make_shared<obs::CoverageReport>();
+    for (const WorkerTally& tally : tallies_) {
+      if (tally.coverage != nullptr) merged->Merge(*tally.coverage);
+    }
+    report.coverage = std::move(merged);
+  }
+  if (Winner() >= 0) {
+    report.bug_found = true;
+    report.bug_kind = bug_.bug_kind;
+    report.bug_message = bug_.bug_message;
+    report.bug_iteration = bug_iteration_ + 1;  // winner-local numbering
+    report.seconds_to_bug = bug_seconds_;
+    report.ndc = bug_.trace.Size();
+    report.bug_steps = bug_.steps;
+    report.bug_trace = std::move(bug_.trace);
+  }
+  return report;
+}
+
 TestingEngine::TestingEngine(TestConfig config, Harness harness)
     : config_(std::move(config)), harness_(std::move(harness)) {}
 
+void TestingEngine::SetIterationCallback(IterationCallback callback) {
+  options_.on_iteration = nullptr;
+  if (callback) {
+    options_.on_iteration = [callback = std::move(callback)](
+                                int /*worker*/, std::uint64_t iteration,
+                                const ExecutionResult& result) {
+      callback(iteration, result);
+    };
+  }
+}
+
 TestReport TestingEngine::Run() {
-  TestReport report;
   const auto strategy = StrategyRegistry::Instance().Create(
       config_.strategy, config_.seed, config_.strategy_budget);
+  Campaign campaign(config_, harness_, /*workers=*/1, options_);
+  campaign.RunWorker(0, config_, *strategy, config_.iterations);
+  TestReport report = campaign.Fold();
   report.strategy_name = strategy->Name();
-  TieredOptions visited_options;
-  visited_options.max_entries = static_cast<std::size_t>(config_.max_visited);
-  visited_options.hot_entries =
-      static_cast<std::size_t>(config_.max_visited_hot);
-  visited_options.spill_dir = config_.visited_spill_dir;
-  if (!visited_options.spill_dir.empty()) {
-    // Creation failure is non-fatal: runs then stay in memory.
-    std::error_code ec;
-    std::filesystem::create_directories(visited_options.spill_dir, ec);
-  }
-  TieredFingerprintSet visited(visited_options);
-  VisitedSet* visited_ptr = config_.stateful ? &visited : nullptr;
-  std::unique_ptr<obs::WorkerObs> worker_obs;
-  if (metrics_ != nullptr) {
-    worker_obs =
-        std::make_unique<obs::WorkerObs>(*metrics_, /*worker_index=*/0,
-                                         coverage_);
-  }
-  // One recycled Runtime serves the whole budget when the harness opted in
-  // (kReusableRuntime); otherwise the runner transparently builds a fresh
-  // Runtime per iteration, exactly the old loop. Declared after strategy /
-  // worker_obs: the runner borrows both and must die first.
-  ExecutionRunner runner(config_, harness_, *strategy, worker_obs.get());
-  const auto start = Clock::now();
-
-  for (std::uint64_t iteration = 0; iteration < config_.iterations;
-       ++iteration) {
-    if (config_.time_budget_seconds > 0 &&
-        SecondsSince(start) >= config_.time_budget_seconds) {
-      break;
-    }
-    ++report.executions;
-    ExecutionResult result = runner.RunOne(iteration, visited_ptr);
-    report.total_steps += result.steps;
-    if (config_.stateful) {
-      report.fingerprint_hits += result.fingerprint_hits;
-      report.fingerprint_misses += result.fingerprint_misses;
-      if (result.pruned) ++report.pruned_executions;
-    }
-    if (config_.FaultsEnabled()) {
-      report.injected_faults += result.faults;
-    }
-    if (corpus_ != nullptr && config_.stateful &&
-        (result.fingerprint_misses > 0 || result.bug_found)) {
-      // Feed BEFORE the bug block below moves the trace out. Heat = heatmap
-      // cells this execution visited first (0 without coverage collection).
-      corpus_->Add(result.trace, result.fingerprint_misses,
-                   worker_obs != nullptr ? worker_obs->LastNewStateCells()
-                                         : 0);
-    }
-    if (on_iteration_) on_iteration_(iteration, result);
-    if (result.bug_found) {
-      if (!report.bug_found) {
-        // Keep the FIRST violation; with stop_on_first_bug=false later
-        // buggy executions only contribute to the execution count.
-        report.bug_found = true;
-        report.bug_kind = result.bug_kind;
-        report.bug_message = result.bug_message;
-        report.bug_iteration = iteration + 1;
-        report.seconds_to_bug = SecondsSince(start);
-        report.ndc = result.trace.Size();
-        report.bug_steps = result.steps;
-        report.bug_trace = std::move(result.trace);
-        if (config_.readable_trace_on_bug) {
-          report.execution_log = Replay(report.bug_trace).execution_log;
-        }
-      }
-      if (config_.stop_on_first_bug) {
-        break;
-      }
-    }
-  }
-  report.total_seconds = SecondsSince(start);
-  if (config_.stateful) {
-    report.stateful = true;
-    report.distinct_states = visited.Size();
-    report.visited_budget = config_.max_visited;
-    report.visited = visited.Stats();
-  }
-  report.faults = config_.FaultsEnabled();
-  if (worker_obs != nullptr && coverage_) {
-    report.coverage =
-        std::make_shared<obs::CoverageReport>(worker_obs->TakeCoverage());
+  if (report.bug_found && config_.readable_trace_on_bug) {
+    report.execution_log = Replay(report.bug_trace).execution_log;
   }
   return report;
 }

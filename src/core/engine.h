@@ -8,6 +8,8 @@
 // decision trace, which can be replayed to reproduce the bug deterministically.
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -46,8 +48,7 @@ struct TestConfig {
   std::uint64_t seed = 0;
   /// Strategy name resolved through StrategyRegistry ("random", "pct",
   /// "round-robin", "delay-bounded", or any registered third-party name; a
-  /// "(N)" suffix overrides strategy_budget). Implicitly assignable from the
-  /// deprecated StrategyKind enum.
+  /// "(N)" suffix overrides strategy_budget).
   StrategyName strategy;
   int strategy_budget = 2;  ///< PCT priority change points / delay budget
   std::uint64_t liveness_temperature_threshold = 0;  ///< 0 = max_steps / 2
@@ -271,36 +272,19 @@ RuntimeOptions MakeRuntimeOptions(const TestConfig& config, bool logging);
 bool StepToCompletion(Runtime& runtime, const Harness& harness,
                       std::uint64_t max_steps);
 
-/// Runs exactly one execution of `harness` for the given 0-based `iteration`:
-/// prepares `strategy`, builds a fresh Runtime, steps it to completion and
-/// converts any BugFound into the returned result. This is the unit of work
-/// that both TestingEngine::Run and ParallelTestingEngine workers schedule.
-/// With config.stateful and a non-null `visited`, every post-step fingerprint
-/// is checked against the set and the execution is pruned after
-/// kFingerprintPruneRun consecutive known states (the serial engine passes
-/// its private FingerprintSet; explore workers share a sharded set).
-/// A non-null `obs` attaches its ExecutionProbe to the runtime and flushes
-/// the finished execution into the campaign instruments (obs/campaign.h);
-/// scheduling is bit-for-bit identical either way.
-ExecutionResult RunOneExecution(const TestConfig& config,
-                                const Harness& harness,
-                                SchedulingStrategy& strategy,
-                                std::uint64_t iteration,
-                                VisitedSet* visited = nullptr,
-                                obs::WorkerObs* obs = nullptr);
-
-/// Thread-affine execution recycler (ROADMAP "Raw speed: reuse everything
-/// across executions"): the stateful replacement for calling RunOneExecution
-/// in a loop. The first RunOne builds the Runtime and runs the harness as
-/// usual, then tries Runtime::SealForReuse. If every harness machine/monitor
-/// opted in (kReusableRuntime), the SAME Runtime serves every later
-/// execution via ResetForNextExecution, with events bump-allocated from an
+/// Thread-affine execution runner, the unit of work of every campaign: it
+/// prepares the strategy for an iteration, runs one execution to completion
+/// and converts any BugFound into the returned result. The first RunOne
+/// builds the Runtime and runs the harness as usual, then tries
+/// Runtime::SealForReuse. If every harness machine/monitor opted in
+/// (kReusableRuntime), the SAME Runtime serves every later execution via
+/// ResetForNextExecution, with events bump-allocated from an
 /// execution-scoped arena that rewinds between executions — no
 /// construction, no per-event frees, no trace reallocation. Otherwise the
-/// runner silently falls back to a fresh Runtime per execution on the
-/// thread-local event pool, bit-for-bit the pre-existing path. Results are
-/// identical either way: golden traces, fingerprints and RNG streams do not
-/// depend on which path ran (tests/core_recycle_test.cc pins this).
+/// runner falls back to a fresh Runtime per execution on the thread-local
+/// event pool. Results are identical either way: golden traces,
+/// fingerprints and RNG streams do not depend on which path ran
+/// (tests/core_recycle_test.cc pins this).
 ///
 /// One runner per thread; it borrows config/harness/strategy/obs, which
 /// must outlive it. Replay never recycles (TestingEngine::Replay builds its
@@ -313,8 +297,12 @@ class ExecutionRunner {
   ExecutionRunner(const ExecutionRunner&) = delete;
   ExecutionRunner& operator=(const ExecutionRunner&) = delete;
 
-  /// Runs one execution for the 0-based `iteration` — drop-in for
-  /// RunOneExecution with this runner's bound config/harness/strategy/obs.
+  /// Runs one execution for the 0-based `iteration`. With config.stateful
+  /// and a non-null `visited`, every post-step fingerprint is checked
+  /// against the set and the execution is pruned after config.prune_run
+  /// consecutive known states. A non-null obs attaches its ExecutionProbe
+  /// and flushes the finished execution into the campaign instruments
+  /// (obs/campaign.h); scheduling is bit-for-bit identical either way.
   ExecutionResult RunOne(std::uint64_t iteration, VisitedSet* visited);
 
   /// Whether the runner is currently recycling one sealed Runtime (false
@@ -331,7 +319,7 @@ class ExecutionRunner {
   };
 
   /// harness (optional) + seal attempt (optional) + step loop + result
-  /// assembly, exactly mirroring RunOneExecution's order.
+  /// assembly.
   void RunBody(Runtime& runtime, bool run_harness, bool try_seal,
                ExecutionResult& result, VisitedSet* visited);
   /// Destroys the recycled Runtime while its arena is armed (arena-backed
@@ -349,7 +337,98 @@ class ExecutionRunner {
   Mode mode_ = Mode::kProbing;
 };
 
-/// Systematic testing engine. Thread-compatible; one engine per thread.
+/// One worker's tallies over its slice of a campaign.
+struct WorkerTally {
+  std::uint64_t executions = 0;
+  std::uint64_t steps = 0;
+  bool bug_found = false;      ///< this worker hit a violation
+  bool won = false;            ///< ... and claimed the first-bug-wins race
+  double seconds = 0.0;        ///< worker wall time
+  // Stateful runs: this worker's share of the visited set's traffic.
+  std::uint64_t pruned_executions = 0;
+  std::uint64_t fingerprint_hits = 0;
+  std::uint64_t fingerprint_misses = 0;
+  /// Fault runs: faults this worker injected (summed over its executions).
+  Runtime::FaultStats injected_faults;
+  /// This worker's coverage slice (nullptr unless coverage is collected).
+  std::shared_ptr<const obs::CoverageReport> coverage;
+};
+
+/// What a campaign's workers share besides the config and the harness; all
+/// optional and borrowed for the run.
+struct CampaignOptions {
+  /// Per-execution hook, invoked from the worker's thread after every
+  /// execution with (worker index, worker-local 0-based iteration, result).
+  /// Must be thread-safe with several workers, and cheap: it runs in the
+  /// inner loop. It cannot perturb scheduling.
+  std::function<void(int worker, std::uint64_t iteration,
+                     const ExecutionResult& result)>
+      on_iteration;
+  /// Campaign observability (obs/campaign.h): when non-null, every worker
+  /// flushes each execution into these TLS-sharded instruments.
+  obs::CampaignMetrics* metrics = nullptr;
+  /// With metrics: also collect per-worker coverage heatmaps, merged into
+  /// the report's coverage.
+  bool coverage = false;
+  /// Coverage-guided exploration (corpus/trace_corpus.h): every stateful
+  /// execution that discovered a new state (or found a bug) feeds its trace
+  /// in; "mutate" strategies sample it. Striped, so workers rarely contend.
+  corpus::TraceCorpus* corpus = nullptr;
+};
+
+/// The paper's testing loop (§2): run the harness to completion, over and
+/// over, until the budget or a bug stops it. TestingEngine runs it as one
+/// worker on the calling thread; ParallelTestingEngine runs one worker per
+/// plan assignment, each on its own thread. Workers share the visited set
+/// (stateful runs: one worker gets the unsharded TieredFingerprintSet,
+/// several share one ShardedFingerprintSet), a stop flag and a lock-free
+/// first-bug-wins claim; everything else a worker owns.
+class Campaign {
+ public:
+  /// Borrows `config` (the fleet config: time budget, stop policy, visited
+  /// set), `harness` and `options`, which must outlive the campaign.
+  Campaign(const TestConfig& config, const Harness& harness, int workers,
+           const CampaignOptions& options);
+
+  /// Runs worker `worker`: up to `iterations` executions of `strategy` under
+  /// `worker_config` (the fleet config with this worker's fault budgets),
+  /// until the time budget, another worker's first bug or, with
+  /// stop_on_first_bug, its own bug ends it. Safe to call concurrently for
+  /// distinct workers.
+  void RunWorker(int worker, const TestConfig& worker_config,
+                 SchedulingStrategy& strategy, std::uint64_t iterations);
+
+  [[nodiscard]] const WorkerTally& Tally(int worker) const {
+    return tallies_[static_cast<std::size_t>(worker)];
+  }
+  /// Index of the worker that claimed the first bug, or -1.
+  [[nodiscard]] int Winner() const noexcept {
+    return winner_.load(std::memory_order_acquire);
+  }
+
+  /// Folds every worker's tally, the visited set and the winning bug into
+  /// one report; strategy_name is left to the caller. Call once, after every
+  /// worker returned: it moves the winning trace out.
+  TestReport Fold();
+
+ private:
+  const TestConfig& config_;
+  const Harness& harness_;
+  const CampaignOptions& options_;
+  std::unique_ptr<VisitedSet> visited_;  ///< null unless config.stateful
+  std::vector<WorkerTally> tallies_;
+  std::chrono::steady_clock::time_point start_;
+  std::atomic<bool> stop_{false};
+  std::atomic<int> winner_{-1};
+  // Winning bug payload: written only by the worker that claimed winner_,
+  // read only by Fold.
+  ExecutionResult bug_;
+  std::uint64_t bug_iteration_ = 0;  ///< winner-local, 0-based
+  double bug_seconds_ = 0.0;         ///< from the campaign's start
+};
+
+/// Systematic testing engine: the campaign loop as one worker on the
+/// calling thread. Thread-compatible; one engine per thread.
 class TestingEngine {
  public:
   TestingEngine(TestConfig config, Harness harness);
@@ -368,31 +447,26 @@ class TestingEngine {
   /// Installs an optional per-execution observer hook (see IterationCallback).
   /// The callback runs outside the serialized execution, so it cannot perturb
   /// scheduling decisions.
-  void SetIterationCallback(IterationCallback callback) {
-    on_iteration_ = std::move(callback);
-  }
+  void SetIterationCallback(IterationCallback callback);
 
   /// Attaches campaign observability: with a non-null `metrics` every
   /// execution flushes into its instruments; `coverage` additionally
   /// collects the state-visit/delivery/fault heatmaps into
   /// TestReport::coverage. Replay() never observes.
   void SetObservability(obs::CampaignMetrics* metrics, bool coverage) {
-    metrics_ = metrics;
-    coverage_ = coverage;
+    options_.metrics = metrics;
+    options_.coverage = coverage;
   }
 
   /// Attaches a trace corpus (borrowed): every stateful execution that
   /// discovered at least one new state (or found a bug) feeds its trace
   /// back in, closing the coverage-guided loop. Replay() never feeds.
-  void SetCorpus(corpus::TraceCorpus* corpus) { corpus_ = corpus; }
+  void SetCorpus(corpus::TraceCorpus* corpus) { options_.corpus = corpus; }
 
  private:
   TestConfig config_;
   Harness harness_;
-  IterationCallback on_iteration_;
-  obs::CampaignMetrics* metrics_ = nullptr;
-  bool coverage_ = false;
-  corpus::TraceCorpus* corpus_ = nullptr;
+  CampaignOptions options_;
 };
 
 }  // namespace systest

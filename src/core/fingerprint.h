@@ -16,9 +16,8 @@
 // They must never be serialized; everything durable (traces, replay) stays
 // fingerprint-free.
 //
-// Visited-set implementations, smallest to largest:
-//   - FingerprintSet: the original capped flat set (kept for tests and as
-//     the semantic reference — the tiered set must answer identically).
+// Visited-set implementations (the flat FingerprintSet they must answer
+// identically to lives in tests/flat_fingerprint_set.h):
 //   - TieredFingerprintSet: two levels. An exact bounded HOT level (open
 //     addressing over raw 64-bit fingerprints) absorbs all inserts; when it
 //     fills, its contents COMPACT into an immutable sorted run fronted by a
@@ -39,7 +38,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 namespace systest {
@@ -113,8 +111,9 @@ struct VisitedStats {
 };
 
 /// Engine-side interface over "the set of program states any execution has
-/// visited". The serial TestingEngine owns a TieredFingerprintSet; parallel
-/// exploration workers share a ShardedFingerprintSet (explore/). One virtual
+/// visited". A one-worker campaign (the serial TestingEngine) owns a
+/// TieredFingerprintSet; several workers share a ShardedFingerprintSet
+/// (explore/). One virtual
 /// call per scheduling step, paid only when TestConfig::stateful is on.
 class VisitedSet {
  public:
@@ -129,31 +128,6 @@ class VisitedSet {
 
   /// Level/maintenance telemetry. Flat sets report zeros.
   [[nodiscard]] virtual VisitedStats Stats() const { return {}; }
-};
-
-/// Single-threaded visited set with a hard entry cap (TestConfig::max_visited)
-/// so stateful runs have bounded memory. Once full, the set is frozen:
-/// lookups still report known states as hits, but unseen states are reported
-/// novel without being recorded — pruning degrades gracefully instead of
-/// growing without bound or (worse) pruning executions on states it never
-/// actually saw. Superseded by TieredFingerprintSet in the engines; kept as
-/// the semantic reference the tiered set is tested against.
-class FingerprintSet final : public VisitedSet {
- public:
-  explicit FingerprintSet(std::size_t max_entries) : max_entries_(max_entries) {}
-
-  bool Insert(Fingerprint fp) override {
-    if (set_.size() >= max_entries_) {
-      return set_.find(fp) == set_.end();
-    }
-    return set_.insert(fp).second;
-  }
-
-  [[nodiscard]] std::size_t Size() const override { return set_.size(); }
-
- private:
-  std::size_t max_entries_;
-  std::unordered_set<Fingerprint> set_;
 };
 
 namespace detail {
@@ -322,7 +296,7 @@ struct TieredOptions {
   std::size_t max_entries = 1u << 20;
   /// Hot-level capacity: when the exact in-memory front reaches this many
   /// entries it compacts into a sorted run. With hot >= max_entries the set
-  /// never compacts and behaves exactly like the flat FingerprintSet.
+  /// never compacts and behaves exactly like a flat capped set.
   std::size_t hot_entries = 1u << 20;
   /// Non-empty: compacted/merged runs are written here as raw little-endian
   /// 64-bit files and mapped back read-only, so the back level's memory

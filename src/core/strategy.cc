@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "api/strategy_registry.h"
 #include "core/bug.h"
 
 namespace systest {
@@ -280,31 +279,6 @@ DeliveryFault ReplayStrategy::NextDeliveryFault(
     }
   }
   return DeliveryFault::kNone;
-}
-
-// ---------------------------------------------------------------------------
-// Factory
-
-std::string_view ToString(StrategyKind kind) noexcept {
-  switch (kind) {
-    case StrategyKind::kRandom:
-      return "random";
-    case StrategyKind::kPct:
-      return "pct";
-    case StrategyKind::kRoundRobin:
-      return "round-robin";
-    case StrategyKind::kDelayBounded:
-      return "delay-bounded";
-  }
-  return "unknown";
-}
-
-std::unique_ptr<SchedulingStrategy> MakeStrategy(StrategyKind kind,
-                                                 std::uint64_t seed,
-                                                 int budget) {
-  // Deprecated shim: the registry is the single construction site now.
-  return StrategyRegistry::Instance().Create(std::string(ToString(kind)), seed,
-                                             budget);
 }
 
 }  // namespace systest

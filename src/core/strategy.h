@@ -323,25 +323,15 @@ class ReplayStrategy final : public SchedulingStrategy {
   std::size_t cursor_{0};
 };
 
-/// DEPRECATED transition shim. Strategies are now identified by string name
-/// and constructed through systest::StrategyRegistry (api/strategy_registry.h);
-/// the enum survives only so pre-registry call sites keep compiling. It will
-/// be removed once downstream code has migrated.
-enum class StrategyKind { kRandom, kPct, kRoundRobin, kDelayBounded };
-
-std::string_view ToString(StrategyKind kind) noexcept;
-
 /// String name of a scheduling strategy, resolved through StrategyRegistry
 /// when an engine starts. Accepts an optional budget suffix ("pct(5)") that
-/// overrides TestConfig::strategy_budget. Implicitly converts from the
-/// deprecated StrategyKind so old call sites keep compiling.
+/// overrides TestConfig::strategy_budget.
 class StrategyName {
  public:
   StrategyName() = default;
   StrategyName(std::string name) : name_(std::move(name)) {}
   StrategyName(std::string_view name) : name_(name) {}
   StrategyName(const char* name) : name_(name) {}
-  StrategyName(StrategyKind kind) : name_(ToString(kind)) {}  // deprecated
 
   [[nodiscard]] const std::string& str() const noexcept { return name_; }
   [[nodiscard]] const char* c_str() const noexcept { return name_.c_str(); }
@@ -354,11 +344,5 @@ class StrategyName {
  private:
   std::string name_ = "random";
 };
-
-/// DEPRECATED transition shim: forwards to
-/// StrategyRegistry::Instance().Create(ToString(kind), seed, budget).
-std::unique_ptr<SchedulingStrategy> MakeStrategy(StrategyKind kind,
-                                                 std::uint64_t seed,
-                                                 int budget);
 
 }  // namespace systest

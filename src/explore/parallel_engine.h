@@ -15,9 +15,6 @@
 // globals do not).
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -26,7 +23,9 @@
 
 namespace systest::explore {
 
-struct ParallelOptions {
+/// The campaign hooks (CampaignOptions: on_iteration, metrics, coverage,
+/// corpus) plus how the fleet is planned.
+struct ParallelOptions : CampaignOptions {
   /// Worker threads. 0 = std::thread::hardware_concurrency() (min 1).
   int threads = 0;
   /// Race the strategy portfolio (ExplorationPlan::Portfolio) instead of
@@ -35,48 +34,12 @@ struct ParallelOptions {
   /// Re-run the winning trace on the calling thread after the workers join
   /// and record whether it reproduced (ParallelTestReport::replay_verified).
   bool verify_replay = true;
-  /// Optional per-execution hook, invoked from WORKER threads after every
-  /// execution with (worker index, worker-local 0-based iteration, result).
-  /// Must be thread-safe; keep it cheap — it runs inside the exploration
-  /// inner loop. It cannot perturb scheduling (executions stay serialized
-  /// and fully seed-determined).
-  std::function<void(int worker, std::uint64_t iteration,
-                     const ExecutionResult& result)>
-      on_iteration;
-  /// Campaign observability (obs/campaign.h): when non-null, every worker
-  /// flushes each execution into these shared sharded instruments (one TLS
-  /// shard per worker thread — workers never contend on a counter line).
-  obs::CampaignMetrics* metrics = nullptr;
-  /// With metrics: also collect per-worker coverage heatmaps, merged into
-  /// aggregate.coverage (and kept per worker in WorkerReport::coverage).
-  bool coverage = false;
-  /// Coverage-guided exploration (corpus/trace_corpus.h): the shared trace
-  /// corpus, borrowed for the run. Every worker feeds newly-interesting
-  /// traces back in (stateful runs only — the interest signal is the
-  /// fingerprint-miss count), and "mutate" workers sample it. The corpus is
-  /// striped like the shared fingerprint set, so workers contend only on
-  /// shard collisions.
-  corpus::TraceCorpus* corpus = nullptr;
 };
 
 /// Per-worker slice of the merged report — the per-strategy breakdown.
-struct WorkerReport {
+struct WorkerReport : WorkerTally {
   WorkerAssignment assignment;
   std::string strategy_name;
-  std::uint64_t executions = 0;
-  std::uint64_t steps = 0;
-  bool bug_found = false;      ///< this worker hit a violation
-  bool won = false;            ///< ... and claimed the first-bug-wins race
-  double seconds = 0.0;        ///< worker wall time
-  // Stateful runs: this worker's share of the shared visited set's traffic.
-  std::uint64_t pruned_executions = 0;
-  std::uint64_t fingerprint_hits = 0;
-  std::uint64_t fingerprint_misses = 0;
-  /// Fault runs: faults this worker injected (summed over its executions).
-  Runtime::FaultStats injected_faults;
-  /// This worker's coverage slice (nullptr unless ParallelOptions::coverage).
-  /// aggregate.coverage is exactly the Merge of these, pinned by tests.
-  std::shared_ptr<const obs::CoverageReport> coverage;
 };
 
 struct ParallelTestReport {

@@ -2,8 +2,8 @@
 //
 // CampaignMetrics: the campaign-wide instrument set, resolved once from a
 // MetricsRegistry so the per-execution flush path works on cached pointers
-// instead of name lookups. WorkerObs is the per-worker handle the engines
-// thread through RunOneExecution: it owns the plain ExecutionProbe the core
+// instead of name lookups. WorkerObs is the per-worker handle each campaign
+// worker hands its ExecutionRunner: it owns the plain ExecutionProbe the core
 // Runtime writes into and flushes it into the sharded campaign instruments
 // (and optionally a CoverageAccumulator) once per completed execution.
 #pragma once

@@ -135,12 +135,6 @@ TEST(StrategyRegistry, UnknownNameErrorListsRegisteredStrategies) {
   }
 }
 
-TEST(StrategyRegistry, DeprecatedEnumShimStillConstructs) {
-  const auto strategy = systest::MakeStrategy(systest::StrategyKind::kPct,
-                                              /*seed=*/1, /*budget=*/4);
-  EXPECT_EQ(strategy->Name(), "pct(4)");
-}
-
 TEST(StrategyRegistry, RejectsDuplicateAndMalformedRegistrations) {
   auto factory = [](std::uint64_t seed, int) {
     return std::make_unique<systest::RandomStrategy>(seed);

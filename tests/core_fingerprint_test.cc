@@ -18,6 +18,7 @@
 #include "explore/sharded_fingerprint_set.h"
 #include "mtable/tables_machine.h"
 #include "samplerepl/harness.h"
+#include "tests/flat_fingerprint_set.h"
 
 namespace {
 

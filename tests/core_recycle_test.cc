@@ -16,6 +16,7 @@
 #include "api/strategy_registry.h"
 #include "core/systest.h"
 #include "samplerepl/harness.h"
+#include "tests/flat_fingerprint_set.h"
 
 namespace {
 
@@ -60,7 +61,9 @@ BudgetOutcome RunRecycled(const TestConfig& config,
   return out;
 }
 
-/// Runs the same budget through the pre-existing fresh-Runtime path.
+/// Runs the same budget with one new ExecutionRunner per iteration: a
+/// runner's first execution always builds a fresh Runtime and runs the
+/// harness, so every execution here takes the fresh-Runtime path.
 BudgetOutcome RunFresh(const TestConfig& config,
                        const systest::Harness& harness,
                        std::uint64_t iterations) {
@@ -70,8 +73,8 @@ BudgetOutcome RunFresh(const TestConfig& config,
   FingerprintSet visited(static_cast<std::size_t>(config.max_visited));
   systest::VisitedSet* visited_ptr = config.stateful ? &visited : nullptr;
   for (std::uint64_t i = 0; i < iterations; ++i) {
-    out.results.push_back(systest::RunOneExecution(config, harness, *strategy,
-                                                   i, visited_ptr, nullptr));
+    ExecutionRunner runner(config, harness, *strategy, nullptr);
+    out.results.push_back(runner.RunOne(i, visited_ptr));
   }
   return out;
 }

@@ -8,16 +8,15 @@
 #include <cstdint>
 #include <optional>
 
+#include "api/strategy_registry.h"
 #include "core/strategy.h"
 
 namespace {
 
 using systest::DelayBoundedStrategy;
 using systest::MachineId;
-using systest::MakeStrategy;
 using systest::PctStrategy;
 using systest::RoundRobinStrategy;
-using systest::StrategyKind;
 
 TEST(PctStrategy, DemotionsFireAtTheirOwnSteps) {
   // Find a seed whose two change points land on ADJACENT steps k, k+1 with
@@ -115,8 +114,9 @@ TEST(RoundRobinStrategy, SeedOffsetsRotationForShardedWorkers) {
     EXPECT_EQ(sharded.Next(ids, step).value, serial.Next(ids, step).value);
   }
 
-  // The factory must forward the seed.
-  const auto made = MakeStrategy(StrategyKind::kRoundRobin, 2, 0);
+  // The registry must forward the seed.
+  const auto made =
+      systest::StrategyRegistry::Instance().Create("round-robin", 2, 0);
   made->PrepareIteration(0, 100);
   RoundRobinStrategy direct(2);
   direct.PrepareIteration(0, 100);

@@ -19,6 +19,7 @@
 #include "core/systest.h"
 #include "explore/sharded_fingerprint_set.h"
 #include "samplerepl/harness.h"
+#include "tests/flat_fingerprint_set.h"
 #include "vnext/harness.h"
 
 namespace {

@@ -16,6 +16,7 @@
 #include "core/systest.h"
 #include "corpus/mutation_strategy.h"
 #include "corpus/trace_corpus.h"
+#include "tests/flat_fingerprint_set.h"
 
 namespace {
 
@@ -195,9 +196,9 @@ TEST(MutationStrategy, SameSeedSameCorpusSameExecutions) {
     const systest::Harness harness = scenario.make(systest::api::ParamMap{});
     systest::FingerprintSet visited(1u << 16);
     std::vector<std::string> traces;
+    systest::ExecutionRunner runner(config, harness, strategy, nullptr);
     for (std::uint64_t i = 0; i < config.iterations; ++i) {
-      const ExecutionResult r =
-          systest::RunOneExecution(config, harness, strategy, i, &visited);
+      const ExecutionResult r = runner.RunOne(i, &visited);
       traces.push_back(r.trace.ToString());
     }
     return traces;

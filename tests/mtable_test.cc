@@ -6,6 +6,7 @@
 #include "core/systest.h"
 #include "mtable/bugs.h"
 #include "mtable/harness.h"
+#include "tests/hang_guard.h"
 
 namespace {
 
@@ -62,7 +63,7 @@ TEST_P(MTableBugSweep, RandomSchedulerFindsBug) {
   MigrationHarnessOptions options;
   options.bugs = EnableBug(GetParam());
   TestConfig config = Config("random", 100'000);
-  config.time_budget_seconds = 60;
+  config.time_budget_seconds = systest::testing::kHangGuardSeconds;
   const TestReport report =
       TestingEngine(config, MakeMigrationHarness(options)).Run();
   ASSERT_TRUE(report.bug_found)

@@ -63,8 +63,9 @@ CoverageReport RunHopperOnce(std::uint64_t seed) {
   CampaignMetrics metrics(registry);
   WorkerObs obs(metrics, /*worker_index=*/0, /*coverage_enabled=*/true);
   systest::RandomStrategy strategy(seed);
-  (void)systest::RunOneExecution(config, HopperHarness(), strategy,
-                                 /*iteration=*/0, /*visited=*/nullptr, &obs);
+  const systest::Harness harness = HopperHarness();
+  systest::ExecutionRunner runner(config, harness, strategy, &obs);
+  (void)runner.RunOne(/*iteration=*/0, /*visited=*/nullptr);
   return obs.TakeCoverage();
 }
 

@@ -130,9 +130,10 @@ std::string ExecutionTrace(std::uint64_t iteration, bool with_obs) {
   MetricsRegistry registry;
   CampaignMetrics metrics(registry);
   WorkerObs obs(metrics, /*worker_index=*/0, /*coverage_enabled=*/true);
-  const systest::ExecutionResult result = systest::RunOneExecution(
-      config, harness, strategy, iteration, /*visited=*/nullptr,
-      with_obs ? &obs : nullptr);
+  systest::ExecutionRunner runner(config, harness, strategy,
+                                 with_obs ? &obs : nullptr);
+  const systest::ExecutionResult result =
+      runner.RunOne(iteration, /*visited=*/nullptr);
   return result.trace.ToString();
 }
 

@@ -20,6 +20,7 @@
 #include "fabric/harness.h"
 #include "mtable/harness.h"
 #include "samplerepl/harness.h"
+#include "tests/hang_guard.h"
 #include "vnext/harness.h"
 
 namespace {
@@ -41,7 +42,7 @@ TestConfig SmallConfig() {
   config.iterations = 50'000;
   config.max_steps = 2'000;
   config.seed = 2016;
-  config.time_budget_seconds = 30;
+  config.time_budget_seconds = systest::testing::kHangGuardSeconds;
   return config;
 }
 
@@ -65,7 +66,7 @@ Harness VNextBuggy() {
 TestConfig VNextConfig() {
   TestConfig config = vnext::DefaultConfig("random");
   config.iterations = 5'000;
-  config.time_budget_seconds = 30;
+  config.time_budget_seconds = systest::testing::kHangGuardSeconds;
   return config;
 }
 
@@ -84,7 +85,7 @@ Harness MTableSwitchFromPopulated() {
 
 TestConfig MTableConfig() {
   TestConfig config = mtable::DefaultConfig("random");
-  config.time_budget_seconds = 30;
+  config.time_budget_seconds = systest::testing::kHangGuardSeconds;
   return config;
 }
 
@@ -102,7 +103,7 @@ Harness FabricPipeline() {
 
 TestConfig FabricConfig() {
   TestConfig config = fabric::DefaultConfig("random");
-  config.time_budget_seconds = 30;
+  config.time_budget_seconds = systest::testing::kHangGuardSeconds;
   return config;
 }
 

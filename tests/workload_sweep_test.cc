@@ -10,6 +10,7 @@
 #include "core/systest.h"
 #include "mtable/harness.h"
 #include "samplerepl/harness.h"
+#include "tests/hang_guard.h"
 #include "vnext/harness.h"
 
 namespace {
@@ -51,7 +52,7 @@ TEST_P(VNextTopologySweep, BuggyManagerIsCaughtAtEveryClusterSize) {
   config.iterations = 3'000;
   config.max_steps = 3'000 * GetParam();
   config.liveness_temperature_threshold = config.max_steps * 2 / 5;
-  config.time_budget_seconds = 60;
+  config.time_budget_seconds = systest::testing::kHangGuardSeconds;
   const TestReport report =
       TestingEngine(config, vnext::MakeExtentRepairHarness(options)).Run();
   EXPECT_TRUE(report.bug_found) << report.Summary();
@@ -80,10 +81,12 @@ TEST_P(MTableWorkloadSweep, FixedProtocolPassesDifferentialTesting) {
   options.ops_per_service = GetParam().ops;
   TestConfig config = mtable::DefaultConfig("random");
   config.iterations = 800;
-  config.time_budget_seconds = 60;
+  config.time_budget_seconds = systest::testing::kHangGuardSeconds;
   const TestReport report =
       TestingEngine(config, mtable::MakeMigrationHarness(options)).Run();
   EXPECT_FALSE(report.bug_found) << report.Summary();
+  // A clean verdict counts only over the whole budget, never a time-cut one.
+  EXPECT_EQ(report.executions, config.iterations);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -102,10 +105,11 @@ TEST(MTableWorkloadEdge, SinglePartitionFixedPasses) {
   options.partitions = {"P0"};
   TestConfig config = mtable::DefaultConfig("random");
   config.iterations = 1'500;
-  config.time_budget_seconds = 60;
+  config.time_budget_seconds = systest::testing::kHangGuardSeconds;
   const TestReport report =
       TestingEngine(config, mtable::MakeMigrationHarness(options)).Run();
   EXPECT_FALSE(report.bug_found) << report.Summary();
+  EXPECT_EQ(report.executions, config.iterations);
 }
 
 // Empty initial data set: migration of nothing must still converge (state
@@ -159,7 +163,7 @@ TEST_P(SampleReplShapeSweep, NonUniqueCountBugFound) {
   config.iterations = 50'000;
   config.max_steps = 4'000;
   config.seed = 2016;
-  config.time_budget_seconds = 30;
+  config.time_budget_seconds = systest::testing::kHangGuardSeconds;
   const TestReport report =
       TestingEngine(config, samplerepl::MakeHarness(options)).Run();
   EXPECT_TRUE(report.bug_found) << report.Summary();

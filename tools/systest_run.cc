@@ -102,8 +102,7 @@ void PrintUsage(const char* argv0) {
       "       %s --list [--tag <tag>] [--json]\n"
       "\n"
       "options:\n"
-      "  --scenario <name>  registered scenario (--harness is a deprecated\n"
-      "                     alias); see --list\n"
+      "  --scenario <name>  registered scenario; see --list\n"
       "  --param k=v        scenario parameter (repeatable; see --list)\n"
       "  --strategy <s>     registered strategy (budget suffix allowed, e.g.\n"
       "                     pct(5)), or portfolio to race the rotation\n"
@@ -255,7 +254,7 @@ bool ParseArgs(int argc, char** argv, Options& options) {
     } else if (arg == "--fingerprint-stats") {
       options.fingerprint_stats = true;
       options.stateful = true;
-    } else if (arg == "--scenario" || arg == "--harness") {
+    } else if (arg == "--scenario") {
       if (!(value = need_value(i))) return false;
       options.scenario = value;
     } else if (arg == "--tag") {
