@@ -9,6 +9,18 @@
 #include <cxxabi.h>
 #endif
 
+#if defined(__SANITIZE_ADDRESS__)
+// Arena memory is poisoned while no live event occupies it, so ASan reports
+// a stale event read across an epoch (ResetEpoch) as use-after-poison.
+#include <sanitizer/asan_interface.h>
+#define SYSTEST_ARENA_POISON(addr, size) ASAN_POISON_MEMORY_REGION(addr, size)
+#define SYSTEST_ARENA_UNPOISON(addr, size) \
+  ASAN_UNPOISON_MEMORY_REGION(addr, size)
+#else
+#define SYSTEST_ARENA_POISON(addr, size) ((void)(addr), (void)(size))
+#define SYSTEST_ARENA_UNPOISON(addr, size) ((void)(addr), (void)(size))
+#endif
+
 namespace systest {
 
 namespace detail {
@@ -89,8 +101,8 @@ EventAllocStats& ThreadEventAllocStats() noexcept { return g_alloc_stats; }
 
 EventArena* ArmedEventArena() noexcept { return g_armed_arena; }
 
-void* EventArena::Allocate(std::size_t size) {
-  size = (size + (kAlign - 1)) & ~(kAlign - 1);
+void* EventArena::Allocate(std::size_t requested) {
+  const std::size_t size = (requested + (kAlign - 1)) & ~(kAlign - 1);
   epoch_bytes_ += size;
   EventAllocStats& stats = g_alloc_stats;
   ++stats.arena_allocations;
@@ -111,6 +123,7 @@ void* EventArena::Allocate(std::size_t size) {
       if (offset_ + size <= chunk.size) {
         void* ptr = chunk.data.get() + offset_;
         offset_ += size;
+        SYSTEST_ARENA_UNPOISON(ptr, requested);
         return ptr;
       }
       ++current_;
@@ -119,10 +132,14 @@ void* EventArena::Allocate(std::size_t size) {
     }
     chunks_.push_back(Chunk{std::make_unique<std::byte[]>(kChunkSize),
                             kChunkSize});
+    SYSTEST_ARENA_POISON(chunks_.back().data.get(), kChunkSize);
   }
 }
 
 void EventArena::ResetEpoch() noexcept {
+  for (std::size_t i = 0; i < chunks_.size() && i <= current_; ++i) {
+    SYSTEST_ARENA_POISON(chunks_[i].data.get(), chunks_[i].size);
+  }
   current_ = 0;
   offset_ = 0;
   epoch_bytes_ = 0;

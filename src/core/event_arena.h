@@ -70,6 +70,9 @@ class EventArena {
   /// Rewinds the bump pointers to the start of every chunk, reclaiming
   /// every allocation of the ending epoch in O(chunks). Chunk memory is
   /// kept for the next epoch; dedicated oversize chunks are released.
+  /// Under AddressSanitizer the reclaimed bytes are poisoned until Allocate
+  /// hands them out again, so reading an event of an ended epoch is
+  /// reported instead of silently seeing whatever reused its bytes.
   void ResetEpoch() noexcept;
 
   [[nodiscard]] std::size_t EpochBytes() const noexcept {

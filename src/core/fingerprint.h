@@ -11,10 +11,33 @@
 // the machines it actually touched (the stepped machine plus event targets),
 // not the world.
 //
+// Two pieces keep a machine rehash O(1) in its inbox length:
+//   - StateHasher mixes one 64-bit word with one 64x64->128-bit multiply
+//     folded by XOR of the halves (wyhash's "mum"), not a byte-wise loop.
+//   - A queue contributes its length and a rolling polynomial digest of its
+//     type ids (Karp-Rabin): digest = sum of term(type_i) * B^(n-1-i) over
+//     the n live events, front (i = 0) to back, mod p = 2^61 - 1, where term
+//     is SplitMix64 of the type id reduced mod p. A push is
+//     digest = digest * B + term; a pop subtracts term * B^(n-1) with B^n
+//     kept alongside; a removal from the middle divides the part in front
+//     of the removed event by B (detail::EventQueue, stateful runtimes
+//     only).
+//
+// Why mod 2^61 - 1 and not mod 2^64: a two-type queue in Thue-Morse order
+// and its complement differ by (term_a - term_b) times the product of
+// (B^(2^j) - 1) for j < k at length 2^k, and with an odd base factor j
+// carries at least j + 2 factors of two (one for j = 0). Mod 2^64 the
+// difference therefore vanishes for EVERY base once the length reaches
+// 1024, and for some bases already at 64 to 128 — inboxes here reach 250
+// events, and a collision merges distinct states and makes pruning
+// unsound. p = 2^61 - 1 is prime, so two distinct length-n queues collide
+// for at most n of the p possible bases, and reducing a 122-bit product is
+// a mask, a shift and an add.
+//
 // Fingerprints are process-local: machine contributions hash interned
 // EventTypeIds, whose values depend on first-use order within a process run.
 // They must never be serialized; everything durable (traces, replay) stays
-// fingerprint-free.
+// fingerprint-free, so the hash functions may change between versions.
 //
 // Visited-set implementations (the flat FingerprintSet they must answer
 // identically to lives in tests/flat_fingerprint_set.h):
@@ -45,29 +68,70 @@ namespace systest {
 /// 64-bit digest of a program state (or of one machine's contribution).
 using Fingerprint = std::uint64_t;
 
-/// Incremental FNV-1a 64 over 64-bit words. Also the extension point handed
-/// to Machine::FingerprintPayload, so domain harnesses mix their semantic
-/// state (counters, table contents, ...) into the default structural view.
+/// Incremental word hasher: one 64x64->128-bit multiply per word, folded by
+/// XOR of the product's halves. Also the extension point handed to
+/// Machine::FingerprintPayload, so domain harnesses mix their semantic state
+/// (counters, table contents, ...) into the default structural view.
 class StateHasher {
  public:
   StateHasher& Mix(std::uint64_t value) noexcept {
-    // FNV-1a, one byte at a time over the little-endian word: keeps the
-    // avalanche of the byte-wise reference function without materializing a
-    // buffer.
-    for (int shift = 0; shift < 64; shift += 8) {
-      hash_ ^= (value >> shift) & 0xffu;
-      hash_ *= kPrime;
-    }
+    const unsigned __int128 product =
+        static_cast<unsigned __int128>(hash_ ^ value) * kMultiplier;
+    hash_ = static_cast<std::uint64_t>(product) ^
+            static_cast<std::uint64_t>(product >> 64);
     return *this;
   }
 
   [[nodiscard]] Fingerprint Digest() const noexcept { return hash_; }
 
  private:
-  static constexpr std::uint64_t kOffset = 1469598103934665603ull;
-  static constexpr std::uint64_t kPrime = 1099511628211ull;
-  std::uint64_t hash_ = kOffset;
+  static constexpr std::uint64_t kSeed = 0xa0761d6478bd642full;
+  static constexpr std::uint64_t kMultiplier = 0xe7037ed1a0b428dbull;
+  std::uint64_t hash_ = kSeed;
 };
+
+namespace detail {
+
+/// Arithmetic modulo the Mersenne prime 2^61 - 1, the field of the queue
+/// digest (see file header). Operands and results are canonical: < kMod61.
+inline constexpr std::uint64_t kMod61 = (std::uint64_t{1} << 61) - 1;
+
+[[nodiscard]] constexpr std::uint64_t Reduce61(std::uint64_t x) noexcept {
+  x = (x & kMod61) + (x >> 61);
+  return x >= kMod61 ? x - kMod61 : x;
+}
+
+[[nodiscard]] constexpr std::uint64_t MulMod61(std::uint64_t a,
+                                               std::uint64_t b) noexcept {
+  const unsigned __int128 product = static_cast<unsigned __int128>(a) * b;
+  // product < (2^61 - 1)^2, so its two 61-bit halves sum below 2 * kMod61.
+  const std::uint64_t sum = (static_cast<std::uint64_t>(product) & kMod61) +
+                            static_cast<std::uint64_t>(product >> 61);
+  return sum >= kMod61 ? sum - kMod61 : sum;
+}
+
+[[nodiscard]] constexpr std::uint64_t AddMod61(std::uint64_t a,
+                                               std::uint64_t b) noexcept {
+  const std::uint64_t sum = a + b;
+  return sum >= kMod61 ? sum - kMod61 : sum;
+}
+
+[[nodiscard]] constexpr std::uint64_t SubMod61(std::uint64_t a,
+                                               std::uint64_t b) noexcept {
+  return a >= b ? a - b : a + kMod61 - b;
+}
+
+[[nodiscard]] constexpr std::uint64_t PowMod61(std::uint64_t base,
+                                               std::uint64_t exp) noexcept {
+  std::uint64_t result = 1;
+  for (; exp != 0; exp >>= 1) {
+    if ((exp & 1) != 0) result = MulMod61(result, base);
+    base = MulMod61(base, base);
+  }
+  return result;
+}
+
+}  // namespace detail
 
 /// Consecutive already-visited states after which an execution is pruned
 /// (see VisitedSet): long enough that an execution crossing known territory

@@ -59,7 +59,8 @@ void Machine::Goto(std::string state) {
 
 bool Machine::NondetBool() { return Rt().ChooseBool(); }
 
-Fingerprint Machine::ComputeStateFingerprint(bool payloads) const {
+Fingerprint Machine::ComputeStateFingerprint(bool payloads,
+                                             bool rehash_queue) const {
   StateHasher hasher;
   hasher.Mix(id_.value);
   // The crashed bit keeps a crashed machine distinct from a merely idle one
@@ -76,7 +77,7 @@ Fingerprint Machine::ComputeStateFingerprint(bool payloads) const {
   for (const EventTypeId type : waiting_types_) {
     hasher.Mix(type);
   }
-  queue_.HashTypesInto(hasher);
+  queue_.HashTypesInto(hasher, rehash_queue);
   if (payloads) {
     FingerprintPayload(hasher);
   }
@@ -562,6 +563,7 @@ MachineId Runtime::Attach(std::unique_ptr<Machine> machine,
     // initializing the machine, so post-Create mutations like SetPeer are
     // visible to FingerprintPayload.
     fp_contrib_.push_back(0);
+    machines_.back()->queue_.TrackTypeDigest();
     MarkFingerprintDirty(*machines_.back());
   }
   if (LoggingEnabled()) {
@@ -1109,7 +1111,8 @@ Fingerprint Runtime::ExecutionFingerprint() {
 Fingerprint Runtime::RecomputeExecutionFingerprint() const {
   Fingerprint world = 0;
   for (const auto& machine : machines_) {
-    world ^= machine->ComputeStateFingerprint(options_.fingerprint_payloads);
+    world ^= machine->ComputeStateFingerprint(options_.fingerprint_payloads,
+                                              /*rehash_queue=*/true);
   }
   return world ^ SharedStateFingerprint();
 }

@@ -234,8 +234,11 @@ class Machine {
   /// This machine's contribution to the execution fingerprint: id, control
   /// flags, dense current StateId, receive-wait set and queued event-type
   /// ids; `payloads` additionally mixes in FingerprintPayload. Pure — safe
-  /// to call at any point between scheduling steps.
-  [[nodiscard]] Fingerprint ComputeStateFingerprint(bool payloads) const;
+  /// to call at any point between scheduling steps. `rehash_queue` digests
+  /// the queue from its events instead of reading the maintained digest
+  /// (Runtime::RecomputeExecutionFingerprint); the result is the same.
+  [[nodiscard]] Fingerprint ComputeStateFingerprint(
+      bool payloads, bool rehash_queue = false) const;
 
   /// Domain payload hook for stateful exploration: mix any semantic state
   /// (counters, stored values, ...) that distinguishes program states beyond
@@ -890,8 +893,9 @@ class Runtime {
   /// (the stepped machine, event targets, fresh attaches) are rehashed.
   [[nodiscard]] Fingerprint ExecutionFingerprint();
 
-  /// Recomputes the fingerprint from scratch over all machines — the O(world)
-  /// cross-check for the incremental path (tests).
+  /// Recomputes the fingerprint from scratch over all machines, rehashing
+  /// every queue from its events — the O(world) cross-check for the
+  /// incremental path and the queue digests (tests).
   [[nodiscard]] Fingerprint RecomputeExecutionFingerprint() const;
 
   /// Post-step fingerprint sequence of this execution, one entry per

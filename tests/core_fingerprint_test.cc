@@ -6,12 +6,15 @@
 // max_visited cap, and the new TestConfig::Validate rules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <utility>
 #include <vector>
 
+#include "api/scenario_registry.h"
+#include "api/session.h"
 #include "chaintable/memory_table.h"
 #include "core/systest.h"
 #include "explore/parallel_engine.h"
@@ -229,6 +232,90 @@ TEST(FingerprintIncremental, MatchesRecomputeEveryStepOnSampleRepl) {
     ASSERT_EQ(rt.ExecutionFingerprint(), rt.RecomputeExecutionFingerprint())
         << "incremental fingerprint diverged at step " << rt.Steps();
   }
+}
+
+/// What a cross-checked campaign went through, so each test can assert the
+/// paths it is meant to cover were really taken.
+struct CrossCheckCoverage {
+  std::uint64_t steps = 0;
+  std::size_t max_queue = 0;
+  systest::Runtime::FaultStats faults;
+};
+
+/// Runs `iterations` random executions of a registered scenario with the
+/// session's resolved configuration (stateful forced on) and checks the
+/// incremental fingerprint against a from-scratch recompute — every queue
+/// digest rehashed from its events — after setup and after every step.
+CrossCheckCoverage CrossCheckScenario(systest::api::SessionConfig session,
+                                      std::uint64_t iterations) {
+  session.stateful = true;
+  const TestConfig config = systest::api::TestSession(session).ResolveConfig();
+  const systest::Harness harness =
+      systest::api::ScenarioRegistry::Instance()
+          .Get(session.scenario)
+          .make(session.params);
+  CrossCheckCoverage coverage;
+  systest::RandomStrategy strategy(config.seed);
+  for (std::uint64_t i = 0; i < iterations; ++i) {
+    strategy.PrepareIteration(i, config.max_steps);
+    systest::Runtime rt(strategy,
+                        systest::MakeRuntimeOptions(config, /*logging=*/false));
+    harness(rt);
+    EXPECT_EQ(rt.ExecutionFingerprint(), rt.RecomputeExecutionFingerprint());
+    try {
+      while (rt.Steps() < config.max_steps && rt.Step()) {
+        for (std::size_t id = 1; id <= rt.MachineCount(); ++id) {
+          coverage.max_queue = std::max(
+              coverage.max_queue,
+              rt.FindMachine(MachineId{id})->QueueLength());
+        }
+        if (rt.ExecutionFingerprint() != rt.RecomputeExecutionFingerprint()) {
+          ADD_FAILURE() << session.scenario << ": incremental fingerprint "
+                        << "diverged at iteration " << i << " step "
+                        << rt.Steps();
+          return coverage;
+        }
+      }
+    } catch (const systest::BugFound&) {
+      // A fault schedule broke the protocol; the steps up to it were
+      // checked, which is all this test is after.
+    }
+    coverage.steps += rt.Steps();
+    coverage.faults += rt.GetFaultStats();
+  }
+  return coverage;
+}
+
+TEST(FingerprintIncremental, MatchesRecomputeEveryStepOnVNextWithFaults) {
+  // Deferring extent nodes and managers, inboxes past 64 events, and
+  // crashes that Clear a queue.
+  systest::api::SessionConfig session;
+  session.scenario = "vnext-fixed";
+  session.faults = true;
+  const CrossCheckCoverage coverage = CrossCheckScenario(session, 6);
+  EXPECT_GE(coverage.max_queue, 64u);
+  EXPECT_GT(coverage.faults.crashes, 0u);
+}
+
+TEST(FingerprintIncremental, MatchesRecomputeEveryStepOnReceiveHarnesses) {
+  // Receive matches take an event from the middle of the queue.
+  for (const char* scenario : {"mtable-migration", "fabric-failover-fixed"}) {
+    systest::api::SessionConfig session;
+    session.scenario = scenario;
+    const CrossCheckCoverage coverage = CrossCheckScenario(session, 50);
+    EXPECT_GT(coverage.steps, 0u) << scenario;
+  }
+}
+
+TEST(FingerprintIncremental, MatchesRecomputeEveryStepUnderPartitions) {
+  systest::api::SessionConfig session;
+  session.scenario = "samplerepl-partition-heal";
+  session.faults = true;
+  session.partitions = true;
+  session.max_duplications = 2;
+  const CrossCheckCoverage coverage = CrossCheckScenario(session, 60);
+  EXPECT_GT(coverage.faults.partitions, 0u);
+  EXPECT_GT(coverage.faults.duplications, 0u);
 }
 
 // ---------------------------------------------------------------------------

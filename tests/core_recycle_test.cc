@@ -14,6 +14,7 @@
 
 #include "api/scenario_registry.h"
 #include "api/strategy_registry.h"
+#include "core/event_arena.h"
 #include "core/systest.h"
 #include "samplerepl/harness.h"
 #include "tests/flat_fingerprint_set.h"
@@ -305,6 +306,41 @@ TEST(RecycleTest, MidExecutionMachinesAreTruncatedAndIdsRealign) {
       << "only HARNESS-time machines participate in the seal; mid-execution "
          "creates must not veto it";
   ExpectBitForBit(recycled, RunFresh(config, harness, 100));
+}
+
+struct ArenaPayload final : Event {
+  explicit ArenaPayload(int value) : value(value) {}
+  int value;
+};
+
+TEST(EventArenaTest, StaleEventReadAcrossEpochIsReportedUnderAsan) {
+#if !defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "needs an AddressSanitizer build";
+#else
+  EXPECT_DEATH(
+      {
+        systest::detail::EventArena arena;
+        const int* stale = nullptr;
+        {
+          const systest::detail::ScopedEventArenaArm arm(&arena);
+          auto event = systest::MakeEvent<ArenaPayload>(7);
+          // Keep a pointer to the field, not the event: reading through the
+          // event pointer would first trip UBSan's vptr check.
+          stale = &static_cast<const ArenaPayload&>(*event).value;
+          event.reset();
+          arena.ResetEpoch();
+        }
+        const volatile int read = *stale;
+        (void)read;
+      },
+      "use-after-poison");
+  // A live event of the current epoch stays readable.
+  systest::detail::EventArena arena;
+  const systest::detail::ScopedEventArenaArm arm(&arena);
+  arena.ResetEpoch();
+  const auto event = systest::MakeEvent<ArenaPayload>(9);
+  EXPECT_EQ(static_cast<const ArenaPayload&>(*event).value, 9);
+#endif
 }
 
 }  // namespace
