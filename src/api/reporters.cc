@@ -208,6 +208,8 @@ void JsonReporter::OnFinish(const SessionReport& report) {
     field("visited_compactions", std::to_string(r.visited.compactions),
           false);
     field("visited_merges", std::to_string(r.visited.merges), false);
+    field("visited_merged_entries", std::to_string(r.visited.merged_entries),
+          false);
     field("visited_spilled_runs", std::to_string(r.visited.spilled_runs),
           false);
     field("visited_spilled_bytes", std::to_string(r.visited.spilled_bytes),

@@ -1,199 +1,213 @@
 // SysTest systematic-testing framework.
 //
-// TieredFingerprintSet implementation: compaction, k-way run merge, blocked
-// bloom construction, and the optional mmap spill path. See fingerprint.h
-// for the design narrative.
+// TieredFingerprintSet implementation: sort-free compaction, size-tiered run
+// merges, the back level's shared blocked bloom filter, and the optional
+// mmap spill path. See fingerprint.h for the design narrative.
 #include "src/core/fingerprint.h"
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <cstring>
+#include <bit>
 
 #include <fcntl.h>
 #include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 namespace systest {
 namespace detail {
 
-void BlockedBloom::Build(const Fingerprint* data, std::size_t n) {
-  words_.clear();
-  block_bits_ = 0;
-  if (n == 0) return;
-  // ~12 bits/entry rounded up to whole 512-bit blocks, at least one block.
-  std::size_t blocks = (n * 12 + 511) / 512;
-  int bits = 0;
-  while ((std::size_t{1} << bits) < blocks) ++bits;
-  blocks = std::size_t{1} << bits;
-  block_bits_ = bits;
-  words_.assign(blocks * 8, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Fingerprint fp = data[i];
-    const std::uint64_t h1 = fp * 0xc2b2ae3d27d4eb4full;
-    std::uint64_t* block = words_.data() + (BlockIndex(h1) << 3);
-    std::uint64_t h2 = fp * 0x165667b19e3779f9ull;
-    for (int k = 0; k < kProbes; ++k) {
-      const unsigned bit = static_cast<unsigned>(h2 & 511u);
-      h2 >>= 9;
-      block[bit >> 6] |= 1ull << (bit & 63u);
-    }
+void HotFingerprintTable::DrainSorted(std::vector<Fingerprint>& out) {
+  out.clear();
+  out.reserve(size_);
+  if (has_zero_) out.push_back(0);
+  // An entry sits at or after its home slot, and a cluster that runs off
+  // the table's end continues at slot 0: those wrapped entries (home past
+  // their slot) hold the top keys, so they go last.
+  std::size_t lead = 0;
+  while (slots_[lead] != 0) ++lead;
+  for (std::size_t i = 0; i < lead; ++i) {
+    if (Home(slots_[i]) <= i) out.push_back(slots_[i]);
+  }
+  for (std::size_t i = lead; i <= mask_; ++i) {
+    if (slots_[i] != 0) out.push_back(slots_[i]);
+  }
+  for (std::size_t i = 0; i < lead; ++i) {
+    if (Home(slots_[i]) > i) out.push_back(slots_[i]);
+  }
+  std::fill(slots_.begin(), slots_.end(), 0);
+  has_zero_ = false;
+  size_ = 0;
+  // Insertion fix-up: an entry is out of order only against entries of its
+  // own cluster, and clusters are short at half load.
+  for (std::size_t i = 1; i < out.size(); ++i) {
+    const Fingerprint key = out[i];
+    std::size_t j = i;
+    for (; j > 0 && out[j - 1] > key; --j) out[j] = out[j - 1];
+    out[j] = key;
   }
 }
 
-namespace {
+void HotFingerprintTable::Rehash(std::size_t capacity) {
+  if (capacity / 8 * 7 > ceiling_) {  // the table's last size: room for 2x
+    capacity = std::max(capacity, std::bit_ceil(2 * ceiling_));
+  }
+  std::vector<Fingerprint> old = std::move(slots_);
+  slots_.assign(capacity, 0);
+  mask_ = capacity - 1;
+  shift_ = 64 - std::countr_zero(capacity);
+  for (const Fingerprint key : old) {
+    if (key != 0) Place(key);
+  }
+}
 
-/// Writes `entries` as raw little-endian u64s into a fresh file under `dir`
-/// and maps it back read-only. Returns the mapping (or nullptr on any
-/// failure — callers fall back to keeping the run in memory).
-void* SpillToFile(const std::vector<Fingerprint>& entries,
-                  const std::string& dir, std::string& path_out,
-                  std::size_t& bytes_out) {
+bool BlockedBloom::Grow(std::size_t n) {
+  const std::size_t blocks = std::max<std::size_t>((n * 12 + 511) / 512, 1);
+  const int block_bits = std::bit_width(blocks - 1);
+  if (block_bits <= block_bits_) return false;
+  words_ = {};
+  words_.assign(std::size_t{8} << block_bits, 0);
+  block_bits_ = block_bits;
+  return true;
+}
+
+SortedRun::SortedRun(std::vector<Fingerprint> keys,
+                     const std::string& spill_dir,
+                     std::uint64_t& spilled_bytes)
+    : mem_(std::move(keys)), keys_(mem_) {
+  if (spill_dir.empty() || mem_.empty()) return;
+  // Raw little-endian u64s in a fresh file, mapped back read-only.
   static std::atomic<std::uint64_t> spill_seq{0};
-  char name[64];
-  std::snprintf(name, sizeof(name), "/run-%d-%llu.fps",
-                static_cast<int>(::getpid()),
-                static_cast<unsigned long long>(
-                    spill_seq.fetch_add(1, std::memory_order_relaxed)));
-  const std::string path = dir + name;
-  const std::size_t bytes = entries.size() * sizeof(Fingerprint);
+  std::string path =
+      spill_dir + "/run-" + std::to_string(::getpid()) + "-" +
+      std::to_string(spill_seq.fetch_add(1, std::memory_order_relaxed)) +
+      ".fps";
   const int fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_RDWR, 0644);
-  if (fd < 0) return nullptr;
-  const char* p = reinterpret_cast<const char*>(entries.data());
+  if (fd < 0) return;
+  const char* data = reinterpret_cast<const char*>(mem_.data());
+  const std::size_t bytes = keys_.size_bytes();
   std::size_t off = 0;
   while (off < bytes) {
-    const ssize_t n = ::write(fd, p + off, bytes - off);
-    if (n <= 0) {
-      ::close(fd);
-      ::unlink(path.c_str());
-      return nullptr;
-    }
+    const ssize_t n = ::write(fd, data + off, bytes - off);
+    if (n <= 0) break;
     off += static_cast<std::size_t>(n);
   }
-  void* map = ::mmap(nullptr, bytes, PROT_READ, MAP_SHARED, fd, 0);
+  void* map = off == bytes
+                  ? ::mmap(nullptr, bytes, PROT_READ, MAP_SHARED, fd, 0)
+                  : MAP_FAILED;
   ::close(fd);
   if (map == MAP_FAILED) {
     ::unlink(path.c_str());
-    return nullptr;
+    return;
   }
-  path_out = path;
-  bytes_out = bytes;
-  return map;
-}
-
-}  // namespace
-
-SortedRun::SortedRun(std::vector<Fingerprint> entries,
-                     const std::string& spill_dir,
-                     std::uint64_t& spilled_bytes)
-    : mem_(std::move(entries)) {
-  size_ = mem_.size();
-  bloom_.Build(mem_.data(), size_);
-  if (!spill_dir.empty() && size_ > 0) {
-    std::size_t bytes = 0;
-    void* map = SpillToFile(mem_, spill_dir, path_, bytes);
-    if (map != nullptr) {
-      map_ = map;
-      map_bytes_ = bytes;
-      data_ = static_cast<const Fingerprint*>(map);
-      spilled_bytes += bytes;
-      mem_.clear();
-      mem_.shrink_to_fit();
-      return;
-    }
-  }
-  data_ = mem_.data();
+  keys_ = {static_cast<const Fingerprint*>(map), mem_.size()};
+  path_ = std::move(path);
+  spilled_bytes += bytes;
+  mem_ = {};
 }
 
 SortedRun::~SortedRun() {
-  if (map_ != nullptr) {
-    ::munmap(map_, map_bytes_);
+  if (Spilled()) {
+    ::munmap(const_cast<Fingerprint*>(keys_.data()), keys_.size_bytes());
     ::unlink(path_.c_str());
   }
-}
-
-bool SortedRun::Contains(Fingerprint fp) const noexcept {
-  return std::binary_search(data_, data_ + size_, fp);
 }
 
 }  // namespace detail
 
 TieredFingerprintSet::TieredFingerprintSet(const TieredOptions& options)
-    : options_(options) {
+    : options_(options), hot_(std::max<std::size_t>(options.hot_entries, 1)) {
   if (options_.hot_entries == 0) options_.hot_entries = 1;
 }
 
-TieredFingerprintSet::~TieredFingerprintSet() = default;
-
-bool TieredFingerprintSet::ProbeRuns(Fingerprint fp) {
-  for (auto it = runs_.rbegin(); it != runs_.rend(); ++it) {
-    const detail::SortedRun& run = **it;
-    if (!run.MayContain(fp)) continue;
-    ++stats_.run_probes;
-    if (run.Contains(fp)) {
-      ++stats_.bloom_true_positives;
-      return true;
-    }
-    ++stats_.bloom_false_positives;
-  }
-  return false;
+bool TieredFingerprintSet::RunsContain(Fingerprint key) const noexcept {
+  return std::any_of(runs_.rbegin(), runs_.rend(), [key](const auto& run) {
+    return run->Contains(key);
+  });
 }
 
 bool TieredFingerprintSet::Insert(Fingerprint fp) {
-  if (hot_.Contains(fp)) {
+  const Fingerprint key = KeyOf(fp);
+  if (hot_.Contains(key)) {
     ++stats_.hot_hits;
     return false;
   }
-  if (ProbeRuns(fp)) return false;
+  if (run_entries_ != 0 && bloom_.MayContain(key)) {
+    ++stats_.run_probes;
+    if (RunsContain(key)) {
+      ++stats_.bloom_true_positives;
+      return false;
+    }
+    ++stats_.bloom_false_positives;
+  }
   // Novel. Frozen semantics mirror FingerprintSet: at the total budget the
   // state is reported novel but not recorded.
-  if (total_entries_ >= options_.max_entries) return true;
-  hot_.Insert(fp);
-  ++total_entries_;
+  if (Size() >= options_.max_entries) return true;
+  hot_.Insert(key);
   if (hot_.Size() >= options_.hot_entries) Compact();
   return true;
 }
 
 bool TieredFingerprintSet::Contains(Fingerprint fp) const noexcept {
-  if (hot_.Contains(fp)) return true;
-  for (const auto& run : runs_) {
-    if (run->MayContain(fp) && run->Contains(fp)) return true;
-  }
-  return false;
+  const Fingerprint key = KeyOf(fp);
+  return hot_.Contains(key) || (bloom_.MayContain(key) && RunsContain(key));
 }
 
 void TieredFingerprintSet::Compact() {
-  std::vector<Fingerprint> entries;
-  entries.reserve(hot_.Size());
-  hot_.AppendTo(entries);
-  hot_.Clear();
-  std::sort(entries.begin(), entries.end());
+  std::vector<Fingerprint> keys;
+  hot_.DrainSorted(keys);
   // Hot entries were checked against every run on insert, so runs stay
   // mutually disjoint and no dedup across runs is needed here.
-  run_entries_ += entries.size();
+  run_entries_ += keys.size();
   runs_.push_back(std::make_unique<detail::SortedRun>(
-      std::move(entries), options_.spill_dir, stats_.spilled_bytes));
+      std::move(keys), options_.spill_dir, stats_.spilled_bytes));
   ++stats_.compactions;
 
-  if (runs_.size() >= kMaxRuns) {
-    // Full k-way merge of all runs into one. Runs are disjoint, so this is
-    // a pure merge of sorted sequences; a simple repeated two-way merge is
-    // fine at k=8 and keeps the code obvious.
-    std::vector<Fingerprint> merged;
-    merged.reserve(run_entries_);
-    for (const auto& run : runs_) {
-      const std::size_t old = merged.size();
-      merged.insert(merged.end(), run->Data(), run->Data() + run->Size());
-      std::inplace_merge(merged.begin(),
-                         merged.begin() + static_cast<std::ptrdiff_t>(old),
-                         merged.end());
-    }
-    runs_.clear();
-    runs_.push_back(std::make_unique<detail::SortedRun>(
-        std::move(merged), options_.spill_dir, stats_.spilled_bytes));
-    ++stats_.merges;
+  // The filter covers every run: rebuilt from the runs when the back level
+  // outgrows it, else given just the new run.
+  const std::size_t fresh = bloom_.Grow(run_entries_) ? 0 : runs_.size() - 1;
+  for (std::size_t r = fresh; r < runs_.size(); ++r) {
+    for (const Fingerprint key : runs_[r]->Keys()) bloom_.Add(key);
   }
+
+  if (runs_.size() >= kMaxRuns) MergeNewestRuns();
+}
+
+void TieredFingerprintSet::MergeNewestRuns() {
+  // Size-tiered suffix: the newest run, then each older run while it holds
+  // at most twice the keys taken so far.
+  std::size_t first = runs_.size() - 1;
+  std::size_t total = runs_[first]->Keys().size();
+  while (first > 0 && runs_[first - 1]->Keys().size() <= 2 * total) {
+    total += runs_[--first]->Keys().size();
+  }
+  if (first + 1 == runs_.size()) return;
+  // Newest (smallest) first, each run merged from the back into the space
+  // behind the keys merged so far: one allocation, touched only as it
+  // fills, and each input freed (a spilled one unlinked) once merged. Runs
+  // are disjoint, so this is a pure merge of sorted sequences.
+  std::vector<Fingerprint> merged;
+  merged.reserve(total);
+  while (runs_.size() > first) {
+    const std::span<const Fingerprint> in = runs_.back()->Keys();
+    std::size_t a = merged.size();
+    std::size_t b = in.size();
+    merged.resize(a + b);
+    for (std::size_t out = merged.size(); b > 0;) {
+      merged[--out] = a > 0 && merged[a - 1] > in[b - 1] ? merged[--a]
+                                                        : in[--b];
+    }
+    runs_.pop_back();
+  }
+  runs_.push_back(std::make_unique<detail::SortedRun>(
+      std::move(merged), options_.spill_dir, stats_.spilled_bytes));
+  ++stats_.merges;
+  stats_.merged_entries += total;
+}
+
+std::vector<std::size_t> TieredFingerprintSet::RunSizes() const {
+  std::vector<std::size_t> sizes;
+  for (const auto& run : runs_) sizes.push_back(run->Keys().size());
+  return sizes;
 }
 
 VisitedStats TieredFingerprintSet::Stats() const {
@@ -201,9 +215,8 @@ VisitedStats TieredFingerprintSet::Stats() const {
   out.hot_entries = hot_.Size();
   out.run_entries = run_entries_;
   out.runs = runs_.size();
-  for (const auto& run : runs_) {
-    if (run->Spilled()) ++out.spilled_runs;
-  }
+  out.spilled_runs = std::count_if(runs_.begin(), runs_.end(),
+                                   [](const auto& r) { return r->Spilled(); });
   return out;
 }
 

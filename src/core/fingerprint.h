@@ -41,17 +41,19 @@
 //
 // Visited-set implementations (the flat FingerprintSet they must answer
 // identically to lives in tests/flat_fingerprint_set.h):
-//   - TieredFingerprintSet: two levels. An exact bounded HOT level (open
-//     addressing over raw 64-bit fingerprints) absorbs all inserts; when it
-//     fills, its contents COMPACT into an immutable sorted run fronted by a
-//     blocked bloom filter, and the hot level starts over. Runs merge k-way
-//     as they accumulate and can spill to mmap-able files on disk, so
-//     hundreds of millions of fingerprints fit without the honest hit rate
-//     collapsing at the old flat cap. Because entries are already 64-bit
-//     fingerprints, back-level membership stays EXACT: a bloom negative
-//     skips the run, a bloom positive binary-searches it — the filter only
-//     saves probes, it never changes an answer, so pruning soundness is
-//     identical to the flat set (pinned by tests/core_visited_tiered_test.cc).
+//   - TieredFingerprintSet: an LSM-tree (O'Neil et al., 1996) over keys
+//     fp * odd constant, a bijection that spreads sequential fingerprints.
+//     An exact HOT level, open addressing indexed by a key's top bits, takes
+//     all inserts; its slot order is key order except inside probe clusters,
+//     so when it fills (at most half full) it COMPACTS into a sorted run by a
+//     linear scan and an insertion fix-up. ONE blocked bloom filter (Putze et
+//     al., WEA 2007) covers all runs; a compaction adds its run's keys, and
+//     the filter is rebuilt only when its block count doubles. Once kMaxRuns
+//     runs exist, the newest suffix in which each older run holds at most
+//     twice the keys of the newer ones is merged, so N keys at hot size H make
+//     O(log(N/H)) runs and rewrites per key. Runs can spill to mmap-ed files.
+//     A bloom positive binary-searches the runs, so membership stays EXACT
+//     (pinned by tests/core_visited_tiered_test.cc).
 //   - explore::ShardedFingerprintSet: 64 independently locked shards, each a
 //     TieredFingerprintSet, for parallel workers (explore/).
 #pragma once
@@ -60,6 +62,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -145,12 +148,13 @@ inline constexpr std::uint64_t kFingerprintPruneRun = 8;
 struct VisitedStats {
   // Probe traffic (cumulative).
   std::uint64_t hot_hits = 0;        ///< probes answered by the hot level
-  std::uint64_t run_probes = 0;      ///< binary searches (bloom positives)
-  std::uint64_t bloom_true_positives = 0;   ///< run probe found the state
-  std::uint64_t bloom_false_positives = 0;  ///< run probe missed (bloom lied)
+  std::uint64_t run_probes = 0;      ///< bloom positives (run searches)
+  std::uint64_t bloom_true_positives = 0;   ///< a run held the state
+  std::uint64_t bloom_false_positives = 0;  ///< no run held it (bloom lied)
   // Maintenance (cumulative).
   std::uint64_t compactions = 0;     ///< hot level flushed into a new run
-  std::uint64_t merges = 0;          ///< k-way run merges
+  std::uint64_t merges = 0;          ///< size-tiered suffix merges
+  std::uint64_t merged_entries = 0;  ///< keys written by merges
   std::uint64_t spilled_bytes = 0;   ///< run bytes written to the spill dir
   // Occupancy (snapshot at the time Stats() was taken).
   std::uint64_t hot_entries = 0;     ///< fingerprints in the hot level
@@ -165,6 +169,7 @@ struct VisitedStats {
     bloom_false_positives += other.bloom_false_positives;
     compactions += other.compactions;
     merges += other.merges;
+    merged_entries += other.merged_entries;
     spilled_bytes += other.spilled_bytes;
     hot_entries += other.hot_entries;
     run_entries += other.run_entries;
@@ -196,107 +201,84 @@ class VisitedSet {
 
 namespace detail {
 
-/// The hot level: open-addressing (linear probe) set of raw 64-bit
-/// fingerprints, power-of-two table, 0 reserved as the empty slot (a real
-/// zero fingerprint is tracked in a side flag). The table grows by doubling
-/// up to the configured hot capacity's load ceiling, then the owner compacts
-/// it away — Clear() keeps the allocation, so steady-state compaction cycles
-/// allocate nothing.
+/// The hot level: linear-probe set of 64-bit keys in a power-of-two table
+/// indexed by a key's top bits; 0 is the empty slot (a zero key sets a
+/// flag). It doubles at 7/8 load, and the doubling that makes room for
+/// `ceiling` entries goes to twice that: it is at most half full then.
 class HotFingerprintTable {
  public:
-  HotFingerprintTable() { Rehash(kInitialCapacity); }
+  explicit HotFingerprintTable(std::size_t ceiling) : ceiling_(ceiling) {
+    Rehash(kInitialCapacity);
+  }
 
-  [[nodiscard]] bool Contains(Fingerprint fp) const noexcept {
-    if (fp == 0) return has_zero_;
-    std::size_t i = IndexOf(fp);
-    while (true) {
-      const Fingerprint slot = slots_[i];
-      if (slot == fp) return true;
-      if (slot == 0) return false;
-      i = (i + 1) & mask_;
+  [[nodiscard]] bool Contains(Fingerprint key) const noexcept {
+    if (key == 0) return has_zero_;
+    for (std::size_t i = Home(key);; i = (i + 1) & mask_) {
+      if (slots_[i] == key) return true;
+      if (slots_[i] == 0) return false;
     }
   }
 
-  /// Pre-condition: !Contains(fp).
-  void Insert(Fingerprint fp) {
-    if (fp == 0) {
+  /// Pre-condition: !Contains(key).
+  void Insert(Fingerprint key) {
+    ++size_;
+    if (key == 0) {
       has_zero_ = true;
-      ++size_;
       return;
     }
-    if ((size_ + 1) * 8 >= (mask_ + 1) * 7) Rehash((mask_ + 1) * 2);
-    std::size_t i = IndexOf(fp);
-    while (slots_[i] != 0) i = (i + 1) & mask_;
-    slots_[i] = fp;
-    ++size_;
+    if (size_ * 8 >= (mask_ + 1) * 7) Rehash((mask_ + 1) * 2);
+    Place(key);
   }
 
   [[nodiscard]] std::size_t Size() const noexcept { return size_; }
 
-  /// Empties the table, keeping its capacity for the next fill cycle.
-  void Clear() noexcept {
-    std::fill(slots_.begin(), slots_.end(), 0);
-    has_zero_ = false;
-    size_ = 0;
-  }
-
-  /// Drains the contents into `out` (appended, unsorted).
-  void AppendTo(std::vector<Fingerprint>& out) const {
-    if (has_zero_) out.push_back(0);
-    for (const Fingerprint slot : slots_) {
-      if (slot != 0) out.push_back(slot);
-    }
-  }
+  /// Moves the contents into `out` in ascending key order and empties the
+  /// table, keeping its allocation for the next fill cycle.
+  void DrainSorted(std::vector<Fingerprint>& out);
 
  private:
   static constexpr std::size_t kInitialCapacity = 1024;
 
-  /// Fingerprints arrive well mixed, but the sharded wrapper consumes their
-  /// LOW bits for shard selection, so the index comes from the high bits of
-  /// a multiplicative remix — shard-mates don't all collide into one probe
-  /// chain.
-  [[nodiscard]] std::size_t IndexOf(Fingerprint fp) const noexcept {
-    return static_cast<std::size_t>((fp * 0x9e3779b97f4a7c15ull) >> shift_) &
-           mask_;
+  [[nodiscard]] std::size_t Home(Fingerprint key) const noexcept {
+    return static_cast<std::size_t>(key >> shift_);
   }
-
-  void Rehash(std::size_t capacity) {
-    std::vector<Fingerprint> old = std::move(slots_);
-    slots_.assign(capacity, 0);
-    mask_ = capacity - 1;
-    shift_ = 32;  // take index bits from the middle-high word
-    for (const Fingerprint fp : old) {
-      if (fp == 0) continue;
-      std::size_t i = IndexOf(fp);
-      while (slots_[i] != 0) i = (i + 1) & mask_;
-      slots_[i] = fp;
-    }
+  void Place(Fingerprint key) noexcept {
+    std::size_t i = Home(key);
+    while (slots_[i] != 0) i = (i + 1) & mask_;
+    slots_[i] = key;
   }
+  void Rehash(std::size_t capacity);
 
   std::vector<Fingerprint> slots_;
   std::size_t mask_ = 0;
-  int shift_ = 32;
+  int shift_ = 64;  ///< 64 - log2(capacity)
   std::size_t size_ = 0;
+  std::size_t ceiling_;
   bool has_zero_ = false;
 };
 
-/// Blocked bloom filter over one immutable run: 64-byte (cache-line) blocks,
-/// 7 bits per key inside one block, sized at ~12 bits/entry for a ~0.5%
-/// false-positive rate. A probe touches exactly one cache line, so the
-/// common back-level MISS costs one filter lookup per run instead of a
-/// binary search into (possibly disk-resident) run data.
+/// Blocked bloom filter: 64-byte (cache-line) blocks, 7 bits per key inside
+/// one block, sized at 12-24 bits per key for a ~0.5% false-positive rate.
+/// A probe touches exactly one cache line.
 class BlockedBloom {
  public:
-  void Build(const Fingerprint* data, std::size_t n);
-  [[nodiscard]] bool MayContain(Fingerprint fp) const noexcept {
-    if (words_.empty()) return false;
-    const std::uint64_t h1 = fp * 0xc2b2ae3d27d4eb4full;
-    const std::uint64_t* block = words_.data() + (BlockIndex(h1) << 3);
-    std::uint64_t h2 = fp * 0x165667b19e3779f9ull;
-    for (int k = 0; k < kProbes; ++k) {
-      const unsigned bit = static_cast<unsigned>(h2 & 511u);
-      h2 >>= 9;
-      if ((block[bit >> 6] & (1ull << (bit & 63u))) == 0) return false;
+  /// Sizes the filter for `n` keys at 12+ bits each. Returns true if that
+  /// took a bigger, empty filter (old words freed first) to re-add keys to.
+  bool Grow(std::size_t n);
+
+  void Add(Fingerprint key) noexcept {
+    std::uint64_t* block = words_.data() + BlockOffset(key);
+    std::uint64_t h2 = key * 0x165667b19e3779f9ull;
+    for (int k = 0; k < kProbes; ++k, h2 >>= 9) {
+      block[(h2 & 511u) >> 6] |= 1ull << (h2 & 63u);
+    }
+  }
+
+  [[nodiscard]] bool MayContain(Fingerprint key) const noexcept {
+    const std::uint64_t* block = words_.data() + BlockOffset(key);
+    std::uint64_t h2 = key * 0x165667b19e3779f9ull;
+    for (int k = 0; k < kProbes; ++k, h2 >>= 9) {
+      if ((block[(h2 & 511u) >> 6] & (1ull << (h2 & 63u))) == 0) return false;
     }
     return true;
   }
@@ -304,49 +286,46 @@ class BlockedBloom {
  private:
   static constexpr int kProbes = 7;
 
-  /// Top block_bits_ bits of the remix hash. Split into two shifts because
-  /// block_bits_ may be 0 (one block) and a single >> 64 would be UB.
-  [[nodiscard]] std::uint64_t BlockIndex(std::uint64_t h1) const noexcept {
-    return (h1 >> 1) >> (63 - block_bits_);
+  /// First word of the key's block: the top block_bits_ bits of a remix.
+  /// Split into two shifts because block_bits_ may be 0 (one block) and a
+  /// single >> 64 would be UB.
+  [[nodiscard]] std::size_t BlockOffset(Fingerprint key) const noexcept {
+    return static_cast<std::size_t>(
+               ((key * 0xc2b2ae3d27d4eb4full) >> 1) >> (63 - block_bits_))
+           << 3;
   }
 
-  std::vector<std::uint64_t> words_;  ///< 8 words (one cache line) per block
-  int block_bits_ = 0;                ///< log2(block count)
+  std::vector<std::uint64_t> words_ = std::vector<std::uint64_t>(8);
+  int block_bits_ = 0;  ///< log2(block count); 8 words per block
 };
 
-/// One immutable sorted run of fingerprints, optionally spilled to a file in
-/// the owner's spill directory and mapped back read-only. Membership is a
-/// bloom check then a binary search — exact either way.
+/// One immutable sorted run of keys, optionally spilled to a file in the
+/// owner's spill directory and mapped back read-only.
 class SortedRun {
  public:
-  /// Takes ownership of `entries` (sorted, deduplicated). With a non-empty
+  /// Takes ownership of `keys` (sorted, deduplicated). With a non-empty
   /// `spill_dir` the run is written to a fresh file there and mmap-ed; on
   /// any I/O failure it silently stays in memory (correctness first, disk
   /// residency best-effort). `spilled_bytes` is bumped by the file size on
   /// a successful spill.
-  SortedRun(std::vector<Fingerprint> entries, const std::string& spill_dir,
+  SortedRun(std::vector<Fingerprint> keys, const std::string& spill_dir,
             std::uint64_t& spilled_bytes);
   ~SortedRun();
   SortedRun(const SortedRun&) = delete;
   SortedRun& operator=(const SortedRun&) = delete;
 
-  [[nodiscard]] bool MayContain(Fingerprint fp) const noexcept {
-    return bloom_.MayContain(fp);
+  [[nodiscard]] std::span<const Fingerprint> Keys() const noexcept {
+    return keys_;
   }
-  [[nodiscard]] bool Contains(Fingerprint fp) const noexcept;
-  [[nodiscard]] std::size_t Size() const noexcept { return size_; }
-  [[nodiscard]] const Fingerprint* Data() const noexcept { return data_; }
-  [[nodiscard]] bool Spilled() const noexcept { return map_ != nullptr; }
-  [[nodiscard]] const std::string& Path() const noexcept { return path_; }
+  [[nodiscard]] bool Contains(Fingerprint key) const noexcept {
+    return std::binary_search(keys_.begin(), keys_.end(), key);
+  }
+  [[nodiscard]] bool Spilled() const noexcept { return !path_.empty(); }
 
  private:
-  std::vector<Fingerprint> mem_;      ///< empty once spilled
-  const Fingerprint* data_ = nullptr;
-  std::size_t size_ = 0;
-  BlockedBloom bloom_;
-  void* map_ = nullptr;               ///< mmap base when spilled
-  std::size_t map_bytes_ = 0;
-  std::string path_;                  ///< spill file (unlinked on destruction)
+  std::vector<Fingerprint> mem_;       ///< empty once spilled
+  std::span<const Fingerprint> keys_;  ///< mem_, or the read-only mapping
+  std::string path_;  ///< spill file (unlinked on destruction)
 };
 
 }  // namespace detail
@@ -364,7 +343,7 @@ struct TieredOptions {
   std::size_t hot_entries = 1u << 20;
   /// Non-empty: compacted/merged runs are written here as raw little-endian
   /// 64-bit files and mapped back read-only, so the back level's memory
-  /// footprint is the bloom filters (~1.5 bytes/entry), not the runs.
+  /// footprint is its bloom filter (~1.5-3 bytes/entry), not the runs.
   std::string spill_dir;
 };
 
@@ -373,26 +352,35 @@ struct TieredOptions {
 class TieredFingerprintSet final : public VisitedSet {
  public:
   explicit TieredFingerprintSet(const TieredOptions& options);
-  ~TieredFingerprintSet() override;
 
   bool Insert(Fingerprint fp) override;
-  [[nodiscard]] std::size_t Size() const override { return total_entries_; }
+  [[nodiscard]] std::size_t Size() const override {
+    return run_entries_ + hot_.Size();
+  }
   [[nodiscard]] VisitedStats Stats() const override;
 
   /// Pure membership (no stats traffic, no insertion) — test/debug helper.
   [[nodiscard]] bool Contains(Fingerprint fp) const noexcept;
+  /// Back-level run sizes, oldest first — test/debug helper.
+  [[nodiscard]] std::vector<std::size_t> RunSizes() const;
 
-  /// Back-level runs merge k-way whenever this many accumulate.
+  /// Back-level runs are merged once this many accumulate.
   static constexpr std::size_t kMaxRuns = 8;
 
+  /// The bijective remix the set is keyed by (see file header).
+  static constexpr Fingerprint KeyOf(Fingerprint fp) noexcept {
+    return fp * 0x9e3779b97f4a7c15ull;
+  }
+
  private:
-  [[nodiscard]] bool ProbeRuns(Fingerprint fp);
+  [[nodiscard]] bool RunsContain(Fingerprint key) const noexcept;
   void Compact();
+  void MergeNewestRuns();
 
   TieredOptions options_;
   detail::HotFingerprintTable hot_;
-  std::vector<std::unique_ptr<detail::SortedRun>> runs_;
-  std::size_t total_entries_ = 0;  ///< hot + runs (the value Size() reports)
+  detail::BlockedBloom bloom_;  ///< over the keys of every run
+  std::vector<std::unique_ptr<detail::SortedRun>> runs_;  ///< oldest first
   std::size_t run_entries_ = 0;
   VisitedStats stats_;
 };

@@ -10,13 +10,13 @@
 // other worker's schedules that reconverge to it, so the fleet stops racing
 // toward duplicate states.
 //
-// Each shard is a TieredFingerprintSet (exact hot front + compacting sorted
-// runs — see core/fingerprint.h), so shards compact independently: one
-// shard's compaction holds only its own lock while the other 63 keep
-// serving probes. The hot budget splits evenly across shards; the TOTAL
-// distinct-state budget stays global, enforced by a shared relaxed-atomic
-// count (per-shard caps would freeze hot shards early while cold shards
-// still had room).
+// Each shard is a TieredFingerprintSet (core/fingerprint.h): an exact hot
+// front indexed by the top bits of a remix, so shard-mates sharing low bits
+// still spread, compacting without a sort into runs behind ONE shard-wide
+// bloom filter, merged size-tiered. A shard's compaction, filter rebuild or
+// merge holds only its own lock while the other 63 keep serving probes. The
+// hot budget splits evenly across shards; the TOTAL budget stays global, on
+// a shared relaxed-atomic count (per-shard caps would freeze busy shards).
 #pragma once
 
 #include <atomic>

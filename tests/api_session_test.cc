@@ -445,6 +445,27 @@ TEST(SessionReporters, StatefulSessionEmitsDedupFields) {
   EXPECT_NE(json.find("\"fingerprint_hit_rate\":"), std::string::npos) << json;
 }
 
+TEST(SessionReporters, CompactingSessionEmitsMergeWork) {
+  systest::api::JsonReporter reporter(stdout);
+  SessionConfig config;
+  config.scenario = "samplerepl-fixed";
+  config.iterations = 50;
+  config.stateful = true;
+  config.max_visited_hot = 64;
+  TestSession session(config);
+  session.AddObserver(&reporter);
+  const SessionReport report = session.Run();
+  const systest::VisitedStats& visited = report.report.visited;
+  EXPECT_GT(visited.merges, 0u);
+  // Each merge writes at least two compactions' worth of keys.
+  EXPECT_GE(visited.merged_entries, visited.merges * 2 * 64);
+  const std::string& json = reporter.Last();
+  EXPECT_NE(json.find("\"visited_merged_entries\":" +
+                      std::to_string(visited.merged_entries)),
+            std::string::npos)
+      << json;
+}
+
 TEST(SessionOverrides, StatefulKnobsFlowThroughResolveConfig) {
   SessionConfig config;
   config.scenario = "samplerepl-fixed";

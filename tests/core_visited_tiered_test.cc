@@ -10,8 +10,11 @@
 // mmap-ed disk runs. Plus the new TestConfig::Validate rules.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
+#include <iterator>
 #include <map>
 #include <random>
 #include <vector>
@@ -62,7 +65,7 @@ void ExpectStreamEquivalence(const std::vector<Fingerprint>& stream,
 TEST(TieredEquivalence, MatchesFlatVerdictsAtBoundaryHotSizes) {
   const std::vector<Fingerprint> stream = MakeStream(11, 6000, 1500);
   // hot=1 compacts on every novel state; hot=2/3 exercise tiny runs plus
-  // repeated k-way merges; hot just below/at/above the budget exercises the
+  // repeated run merges; hot just below/at/above the budget exercises the
   // freeze boundary interacting with compaction; huge hot never compacts.
   for (const std::size_t hot : {std::size_t{1}, std::size_t{2}, std::size_t{3},
                                 std::size_t{127}, std::size_t{1499},
@@ -72,6 +75,114 @@ TEST(TieredEquivalence, MatchesFlatVerdictsAtBoundaryHotSizes) {
          {std::size_t{1}, std::size_t{64}, std::size_t{1000},
           std::size_t{1500}, std::size_t{1u << 20}}) {
       ExpectStreamEquivalence(stream, budget, hot);
+    }
+  }
+}
+
+/// Structural invariants of the back level after `n` novel inserts at hot
+/// size `hot`: O(log(n/hot)) runs and merge rewrites per key, and every
+/// merged run outweighs all runs newer than it. Runs not merged yet (one
+/// compaction each, exactly `hot` keys; a merged run holds at least two
+/// compactions) trail the merged ones.
+void ExpectRunShape(const TieredFingerprintSet& set, std::size_t n,
+                    std::size_t hot) {
+  const std::vector<std::size_t> sizes = set.RunSizes();
+  const std::size_t compactions = n / hot;
+  const auto levels = static_cast<std::size_t>(
+      std::bit_width(compactions > 1 ? compactions - 1 : 0));  // ceil(log2)
+  ASSERT_LE(sizes.size(), TieredFingerprintSet::kMaxRuns + levels)
+      << "n=" << n << " hot=" << hot;
+  ASSERT_LE(set.Stats().merged_entries, n * levels)
+      << "n=" << n << " hot=" << hot;
+  std::size_t newer = 0;
+  std::size_t pending = 0;
+  for (std::size_t i = sizes.size(); i-- > 0;) {
+    if (sizes[i] == hot && newer == pending * hot) {
+      ++pending;
+    } else {
+      ASSERT_GT(sizes[i], newer) << "run " << i << " of " << sizes.size()
+                                 << ", n=" << n << " hot=" << hot;
+    }
+    newer += sizes[i];
+  }
+}
+
+/// Adversarial fingerprint families, each with revisits mixed in: element i
+/// of the family, then every third step an earlier element again.
+std::vector<Fingerprint> AdversarialStream(
+    const std::function<Fingerprint(std::uint64_t)>& family, std::size_t n) {
+  std::vector<Fingerprint> stream;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    stream.push_back(family(i));
+    if (i % 3 == 0) stream.push_back(family(i / 2));
+  }
+  for (std::uint64_t i = 0; i < n; i += 7) stream.push_back(family(i));
+  return stream;
+}
+
+/// Inverse of TieredFingerprintSet::KeyOf's odd multiplier mod 2^64, so a
+/// test can pick the KEYS the set sees (Newton's iteration doubles the
+/// number of correct low bits each step).
+Fingerprint FingerprintOfKey(Fingerprint key) {
+  const std::uint64_t m = TieredFingerprintSet::KeyOf(1);
+  std::uint64_t inv = m;
+  for (int i = 0; i < 6; ++i) inv *= 2 - m * inv;
+  return key * inv;
+}
+
+TEST(TieredEquivalence, MatchesFlatOnAdversarialStreams) {
+  ASSERT_EQ(TieredFingerprintSet::KeyOf(FingerprintOfKey(12345)), 12345u);
+  const std::map<std::string, std::function<Fingerprint(std::uint64_t)>>
+      families = {
+          {"sequential", [](std::uint64_t i) { return i + 1; }},
+          {"zero-and-sequential", [](std::uint64_t i) { return i; }},
+          {"multiples-of-2^20", [](std::uint64_t i) { return i << 20; }},
+          {"multiples-of-2^44", [](std::uint64_t i) { return i << 44; }},
+          {"shared-top-16-bits",
+           [](std::uint64_t i) { return (0xbeefull << 48) | i; }},
+          // Keys the hot table indexes by: one prefix, so every entry lands
+          // in one probe cluster; and the top of the key space, so that
+          // cluster runs off the table's end and wraps to slot 0.
+          {"keys-shared-prefix",
+           [](std::uint64_t i) {
+             return FingerprintOfKey((0x1234ull << 48) | (i * 977));
+           }},
+          {"keys-wrapping",
+           [](std::uint64_t i) { return FingerprintOfKey(~i); }},
+      };
+  // The filter first resizes at 43 run keys and then at every doubling;
+  // merges start at kMaxRuns compactions. These hot sizes put compactions,
+  // resizes and merges on both sides of each other within 3000 keys.
+  for (const auto& [name, family] : families) {
+    for (const std::size_t hot : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{43}, std::size_t{64},
+                                  std::size_t{100}, std::size_t{1000}}) {
+      for (const std::size_t budget :
+           {std::size_t{1500}, std::size_t{1u << 20}}) {
+        const std::vector<Fingerprint> stream =
+            AdversarialStream(family, 3000);
+        FingerprintSet flat(budget);
+        TieredFingerprintSet tiered({budget, hot, std::string{}});
+        std::size_t novel = 0;
+        for (std::size_t i = 0; i < stream.size(); ++i) {
+          const bool verdict = flat.Insert(stream[i]);
+          ASSERT_EQ(verdict, tiered.Insert(stream[i]))
+              << name << ": diverged at element " << i << " (hot=" << hot
+              << ", budget=" << budget << ")";
+          if (verdict && novel < budget) ExpectRunShape(tiered, ++novel, hot);
+        }
+        EXPECT_EQ(flat.Size(), tiered.Size()) << name;
+        const VisitedStats stats = tiered.Stats();
+        EXPECT_GT(stats.compactions, 0u) << name << " hot=" << hot;
+        if (hot <= 100) {
+          EXPECT_GT(stats.merges, 0u) << name << " hot=" << hot;
+        }
+        EXPECT_EQ(stats.run_probes,
+                  stats.bloom_true_positives + stats.bloom_false_positives);
+        for (const Fingerprint fp : stream) {
+          ASSERT_EQ(tiered.Contains(fp), flat.Insert(fp) == false) << name;
+        }
+      }
     }
   }
 }
@@ -99,16 +210,19 @@ TEST(TieredEquivalence, ShardedTieredMatchesFlatSingleThreaded) {
 
 TEST(TieredCompaction, CompactsMergesAndKeepsMembershipExact) {
   TieredFingerprintSet set({1u << 20, 64, std::string{}});
-  // 64 * kMaxRuns novel states: enough to trigger at least one k-way merge.
+  // 64 * kMaxRuns novel states: the kMaxRuns-th compaction merges all runs,
+  // each at most twice the keys newer than it, into one.
   const std::size_t n = 64 * TieredFingerprintSet::kMaxRuns;
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_TRUE(set.Insert(i * 0x9e3779b97f4a7c15ull + 1));
+    ExpectRunShape(set, i + 1, 64);
   }
   EXPECT_EQ(set.Size(), n);
   const VisitedStats stats = set.Stats();
-  EXPECT_GE(stats.compactions, TieredFingerprintSet::kMaxRuns);
-  EXPECT_GE(stats.merges, 1u);
-  EXPECT_LT(stats.runs, TieredFingerprintSet::kMaxRuns);
+  EXPECT_EQ(stats.compactions, TieredFingerprintSet::kMaxRuns);
+  EXPECT_EQ(stats.merges, 1u);
+  EXPECT_EQ(stats.merged_entries, n);
+  EXPECT_EQ(set.RunSizes(), std::vector<std::size_t>{n});
   EXPECT_EQ(stats.hot_entries + stats.run_entries, n);
   // Every state remains a hit, wherever compaction moved it.
   for (std::size_t i = 0; i < n; ++i) {
@@ -211,6 +325,10 @@ TEST(TieredSpill, RoundTripsRunsThroughDisk) {
       ASSERT_TRUE(set.Insert(i * 0x9e3779b97f4a7c15ull + 1));
     }
     const VisitedStats stats = set.Stats();
+    // 2 * kMaxRuns compactions: the first kMaxRuns merge into one run, the
+    // next kMaxRuns - 1 merge with it, and the last stays on its own.
+    EXPECT_EQ(set.RunSizes(), (std::vector<std::size_t>{n - 64, 64}));
+    EXPECT_EQ(stats.merges, 2u);
     EXPECT_GT(stats.spilled_runs, 0u);
     EXPECT_EQ(stats.spilled_runs, stats.runs);  // every run went to disk
     EXPECT_GT(stats.spilled_bytes, 0u);
@@ -224,6 +342,34 @@ TEST(TieredSpill, RoundTripsRunsThroughDisk) {
   }
   // Destruction unlinks the run files: the spill dir is left empty.
   EXPECT_TRUE(std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TieredSpill, DirHoldsExactlyTheLiveSpilledRuns) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "systest-tiered-spill-count";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto files = [&dir] {
+    return static_cast<std::uint64_t>(std::distance(
+        std::filesystem::directory_iterator(dir),
+        std::filesystem::directory_iterator{}));
+  };
+  {
+    TieredFingerprintSet set({1u << 20, 32, dir.string()});
+    for (std::size_t i = 0; i < 32 * 200; ++i) {
+      ASSERT_TRUE(set.Insert(i * 0x9e3779b97f4a7c15ull + 1));
+      if (i % 32 == 31) {
+        // Merged runs spill and merge inputs are unlinked, after every
+        // compaction and merge.
+        const VisitedStats stats = set.Stats();
+        ASSERT_EQ(stats.spilled_runs, stats.runs) << i;
+        ASSERT_EQ(files(), stats.spilled_runs) << i;
+      }
+    }
+    EXPECT_GT(set.Stats().merges, 10u);
+  }
+  EXPECT_EQ(files(), 0u);
   std::filesystem::remove_all(dir);
 }
 

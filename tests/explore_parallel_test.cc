@@ -273,7 +273,7 @@ TEST(ParallelEngine, StatefulWorkersShareOneVisitedSet) {
 }
 
 // Tiered sharded set under concurrency: a tiny per-shard hot level forces
-// constant compaction (and k-way merges) INSIDE the shard locks while four
+// constant compaction (and run merges) INSIDE the shard locks while four
 // samplerepl workers hammer the set. This binary runs under TSan in CI, so
 // this is the data-race guard for the tiered back level — runs, blooms and
 // stats must stay shard-private. samplerepl generates thousands of distinct

@@ -508,7 +508,7 @@ int RunOne(const std::string& scenario, const Options& options,
     std::printf(
         "  hot entries         %llu\n"
         "  run entries         %llu in %llu runs\n"
-        "  compactions         %llu (%llu merges)\n"
+        "  compactions         %llu (%llu merges writing %llu entries)\n"
         "  spilled             %llu runs, %llu bytes\n"
         "  bloom probes        %llu true-positive, %llu false-positive\n",
         static_cast<unsigned long long>(r.visited.hot_entries),
@@ -516,6 +516,7 @@ int RunOne(const std::string& scenario, const Options& options,
         static_cast<unsigned long long>(r.visited.runs),
         static_cast<unsigned long long>(r.visited.compactions),
         static_cast<unsigned long long>(r.visited.merges),
+        static_cast<unsigned long long>(r.visited.merged_entries),
         static_cast<unsigned long long>(r.visited.spilled_runs),
         static_cast<unsigned long long>(r.visited.spilled_bytes),
         static_cast<unsigned long long>(r.visited.bloom_true_positives),
