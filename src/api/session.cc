@@ -44,6 +44,13 @@ void ValidateParams(const Scenario& scenario, const ParamMap& params) {
   }
 }
 
+/// Applies a SessionConfig override: an unset optional keeps the scenario's
+/// value.
+template <typename T, typename U>
+void Override(T& field, const std::optional<U>& value) {
+  if (value) field = *value;
+}
+
 }  // namespace
 
 TestSession::TestSession(SessionConfig config) : config_(std::move(config)) {}
@@ -59,8 +66,8 @@ TestConfig TestSession::ResolveConfig() const {
       scenario.default_config ? scenario.default_config() : TestConfig{};
   const bool portfolio = config_.strategy == "portfolio";
   if (!config_.strategy.empty() && !portfolio) tc.strategy = config_.strategy;
-  if (config_.seed) tc.seed = *config_.seed;
-  if (config_.iterations) tc.iterations = *config_.iterations;
+  Override(tc.seed, config_.seed);
+  Override(tc.iterations, config_.iterations);
   if (config_.max_steps && *config_.max_steps != tc.max_steps) {
     // Scenarios pin their liveness temperature threshold against their own
     // default step bound (e.g. vnext: hot for 1200 of 3000 steps = 40%).
@@ -74,50 +81,38 @@ TestConfig TestSession::ResolveConfig() const {
     }
     tc.max_steps = *config_.max_steps;
   }
-  if (config_.strategy_budget) tc.strategy_budget = *config_.strategy_budget;
-  if (config_.time_budget_seconds) {
-    tc.time_budget_seconds = *config_.time_budget_seconds;
-  }
-  if (config_.stateful) tc.stateful = *config_.stateful;
-  if (config_.fingerprint_payloads) {
-    tc.fingerprint_payloads = *config_.fingerprint_payloads;
-  }
-  if (config_.max_visited) tc.max_visited = *config_.max_visited;
-  if (config_.max_visited_hot) tc.max_visited_hot = *config_.max_visited_hot;
-  if (config_.visited_spill_dir) {
-    tc.visited_spill_dir = *config_.visited_spill_dir;
-  }
-  if (config_.prune_run) tc.prune_run = *config_.prune_run;
-  if (config_.max_crashes) tc.max_crashes = *config_.max_crashes;
-  if (config_.max_restarts) tc.max_restarts = *config_.max_restarts;
-  if (config_.drop_probability_den) {
-    tc.drop_probability_den = *config_.drop_probability_den;
-  }
-  if (config_.max_duplications) {
-    tc.max_duplications = *config_.max_duplications;
-  }
-  if (config_.fault_odds_den) tc.fault_odds_den = *config_.fault_odds_den;
-  if (config_.max_partitions) tc.max_partitions = *config_.max_partitions;
-  if (config_.partition_heal_den) {
-    tc.partition_heal_den = *config_.partition_heal_den;
-  }
-  if (config_.fault_placement_points) {
-    tc.fault_placement_points = *config_.fault_placement_points;
-  }
-  if (config_.partitions && tc.max_partitions == 0) {
+  Override(tc.strategy_budget, config_.strategy_budget);
+  Override(tc.time_budget_seconds, config_.time_budget_seconds);
+  Override(tc.stateful, config_.stateful);
+  Override(tc.fingerprint_payloads, config_.fingerprint_payloads);
+  Override(tc.max_visited, config_.max_visited);
+  Override(tc.max_visited_hot, config_.max_visited_hot);
+  Override(tc.visited_spill_dir, config_.visited_spill_dir);
+  Override(tc.prune_run, config_.prune_run);
+  FaultPlan& faults = tc.faults;
+  Override(faults.max_crashes, config_.max_crashes);
+  Override(faults.max_restarts, config_.max_restarts);
+  Override(faults.drop_probability_den, config_.drop_probability_den);
+  Override(faults.max_duplications, config_.max_duplications);
+  Override(faults.fault_odds_den, config_.fault_odds_den);
+  Override(faults.max_partitions, config_.max_partitions);
+  Override(faults.partition_heal_den, config_.partition_heal_den);
+  Override(faults.fault_placement_points, config_.fault_placement_points);
+  if (config_.partitions && faults.max_partitions == 0) {
     // Arm-with-defaults, partition flavor: one partition per execution
     // unless the scenario or an override already budgets them.
-    tc.max_partitions = 1;
+    faults.max_partitions = 1;
   }
-  if (config_.faults && tc.max_crashes == 0 && tc.drop_probability_den == 0 &&
-      tc.max_duplications == 0) {
+  if (config_.faults && faults.max_crashes == 0 &&
+      faults.drop_probability_den == 0 && faults.max_duplications == 0) {
     // Arm-with-defaults: only when neither the scenario nor a specific
-    // override produced any fault budget. Partition budgets are judged
-    // separately above, so `faults` + `partitions` arms both planes.
-    tc.max_crashes = 1;
-    tc.max_restarts = 1;
+    // override produced any crash, drop or duplication budget. Partition
+    // budgets are judged separately above, so `faults` + `partitions` arms
+    // both planes.
+    faults.max_crashes = 1;
+    faults.max_restarts = 1;
   }
-  if (config_.stop_on_first_bug) tc.stop_on_first_bug = *config_.stop_on_first_bug;
+  Override(tc.stop_on_first_bug, config_.stop_on_first_bug);
   if (config_.readable_trace_on_bug) tc.readable_trace_on_bug = true;
   const bool replay =
       config_.replay_trace.has_value() || !config_.replay_file.empty();

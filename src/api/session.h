@@ -55,42 +55,27 @@ struct SessionConfig {
   std::optional<int> strategy_budget;
   std::optional<double> time_budget_seconds;
   std::optional<bool> stop_on_first_bug;
-  /// Stateful exploration (TestConfig::{stateful, fingerprint_payloads,
-  /// max_visited}): fingerprint visited program states and prune executions
-  /// that reconverge to them. Serial sessions use a private visited set;
-  /// parallel/portfolio sessions share one sharded set across all workers.
+  /// Stateful exploration overrides (TestConfig::{stateful,
+  /// fingerprint_payloads, max_visited, max_visited_hot, visited_spill_dir,
+  /// prune_run}, documented there). Serial sessions use a private visited
+  /// set; parallel/portfolio sessions share one sharded set across workers.
   std::optional<bool> stateful;
   std::optional<bool> fingerprint_payloads;
   std::optional<std::uint64_t> max_visited;
-  /// Hot-level capacity of the tiered visited set
-  /// (TestConfig::max_visited_hot): reaching it compacts the exact front
-  /// into a sorted run. Unset keeps the default (equal to the max_visited
-  /// default, so nothing compacts unless the budget is raised).
   std::optional<std::uint64_t> max_visited_hot;
-  /// Spill directory for compacted runs (TestConfig::visited_spill_dir).
-  /// Empty/unset keeps runs in memory.
   std::optional<std::string> visited_spill_dir;
-  /// Stateful prune-run length override (TestConfig::prune_run).
   std::optional<std::uint64_t> prune_run;
-  /// Fault plane (TestConfig::{max_crashes, max_restarts,
-  /// drop_probability_den, max_duplications, fault_odds_den}): scheduler-
-  /// controlled crash/restart and message drop/duplication budgets. Unset
-  /// keeps the scenario's defaults (off for scenarios that don't opt in).
-  /// `faults` arms the plane non-destructively: if the resolved config still
-  /// has no fault budgets after scenario defaults and the specific overrides
-  /// below, crash/restart default to 1/1 — a scenario that ships its own
-  /// fault model (or a drop-only override) is left exactly as configured.
+  /// Fault plane overrides of the scenario's FaultPlan (TestConfig::faults);
+  /// unset keeps the scenario's value. `faults` arms crash/restart 1/1 only
+  /// if the resolved plan has no crash, drop or duplication budget, and
+  /// `partitions` arms one partition only if it has no partition budget, so
+  /// a scenario that ships its own fault model is left as configured.
   bool faults = false;
   std::optional<std::uint64_t> max_crashes;
   std::optional<std::uint64_t> max_restarts;
   std::optional<std::uint64_t> drop_probability_den;
   std::optional<std::uint64_t> max_duplications;
   std::optional<std::uint64_t> fault_odds_den;
-  /// Network partitions (TestConfig::{max_partitions, partition_heal_den})
-  /// and pre-sampled fault placement (TestConfig::fault_placement_points).
-  /// `partitions` mirrors `faults`: if the resolved config still has no
-  /// partition budget after scenario defaults and the overrides below,
-  /// max_partitions defaults to 1 (heal odds keep the scenario/default den).
   bool partitions = false;
   std::optional<std::uint64_t> max_partitions;
   std::optional<std::uint64_t> partition_heal_den;

@@ -175,8 +175,8 @@ namespace {
       std::string("machine/monitor type '") + type_name +
           "' declared different states than the first instance of its type (" +
           what +
-          "); per-instance state graphs must opt out of declaration sharing "
-          "with `static constexpr bool kShareStateDecls = false;`");
+          "); a machine type declares one state graph, so declare a separate "
+          "type for each graph");
 }
 
 void CheckSetMatches(const EventIdSet& compiled, const std::set<EventTypeId>& built,
@@ -261,16 +261,6 @@ void VerifyMonitorDeclMatches(
                      "entry/hot/cold differ in state '" + name + "'");
     }
   }
-}
-
-std::unique_ptr<const MachineDecl> CompileMachineDeclUnshared(
-    std::type_index type, std::map<std::string, StateDecl>&& states) {
-  return Compile(type, std::move(states));
-}
-
-std::unique_ptr<const MonitorDecl> CompileMonitorDeclUnshared(
-    std::type_index type, std::map<std::string, MonitorStateDecl>&& states) {
-  return CompileMonitor(type, std::move(states));
 }
 
 std::size_t DeclRegistry::MachineDeclCount() {

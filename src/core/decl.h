@@ -17,9 +17,10 @@
 // states, handlers and defers for every instance — per-instance variation
 // belongs in member data or in SetStart (which stays per-instance precisely
 // because harness monitors pick their start state from constructor
-// arguments). Every machine in this repo and every P#-style machine we know
-// of already satisfies this; the declarations are structural, like a class
-// definition.
+// arguments). A state graph that depends on a constructor argument (say, a
+// bug-injection switch) is split into one type per graph instead, as
+// fabric's AggregatorMachine and UnguardedAggregatorMachine are. There is no
+// opt-out: the declarations are structural, like a class definition.
 #pragma once
 
 #include <cstdint>
@@ -266,32 +267,11 @@ class DeclRegistry {
   [[nodiscard]] static std::size_t MachineDeclCount();
 };
 
-/// Per-instance compile paths for types that opt out of sharing (see
-/// SharesStateDecls): the caller owns the result instead of the registry.
-std::unique_ptr<const MachineDecl> CompileMachineDeclUnshared(
-    std::type_index type, std::map<std::string, StateDecl>&& states);
-std::unique_ptr<const MonitorDecl> CompileMonitorDeclUnshared(
-    std::type_index type, std::map<std::string, MonitorStateDecl>&& states);
-
-/// Whether machine/monitor type M participates in per-type decl sharing.
-/// Defaults to true — the correct choice for every machine whose constructor
-/// declares the same states for all instances. A type whose declarations
-/// legitimately differ per instance (e.g. a bug-injection flag that swaps
-/// the state graph, like fabric's AggregatorMachine) opts out by declaring
-///   static constexpr bool kShareStateDecls = false;
-/// and then pays the per-instance declaration build, exactly as before.
-template <typename M, typename = void>
-struct SharesStateDecls : std::true_type {};
-template <typename M>
-struct SharesStateDecls<M, std::void_t<decltype(M::kShareStateDecls)>>
-    : std::bool_constant<M::kShareStateDecls> {};
-
 /// Whether machine/monitor type M supports Runtime execution recycling
-/// (Runtime::ResetForNextExecution). Opt-IN — the inverse polarity of
-/// SharesStateDecls — because reuse is only sound for a type whose author
-/// has audited its members: everything that changes during an execution
-/// must be restored by Machine::ResetForReuse's built-in wipe plus the
-/// type's OnReset() hook. A type declares
+/// (Runtime::ResetForNextExecution). Opt-IN, because reuse is only sound
+/// for a type whose author has audited its members: everything that changes
+/// during an execution must be restored by Machine::ResetForReuse's
+/// built-in wipe plus the type's OnReset() hook. A type declares
 ///   static constexpr bool kReusableRuntime = true;
 /// to participate; a Runtime is recyclable only if EVERY machine and
 /// monitor created at harness time declared it (mid-execution machines are
@@ -307,9 +287,10 @@ struct ReusableRuntime<M, std::void_t<decltype(M::kReusableRuntime)>>
 /// instance's freshly built declarations structurally match the shared
 /// compiled decl (state names, handler/goto/defer/ignore registrations,
 /// entry/exit/hot/cold), throwing BugFound{kHarnessError} on drift — the
-/// failure mode of a type that varies its declarations per instance without
-/// declaring kShareStateDecls = false. Release builds skip declaration
-/// building entirely, so this only runs (and only costs) in !NDEBUG.
+/// failure mode of a type that varies its declarations per instance, which
+/// must instead be split into one type per state graph. Release builds skip
+/// declaration building entirely, so this only runs (and only costs) in
+/// !NDEBUG.
 void VerifyDeclMatches(const MachineDecl& decl,
                        const std::map<std::string, StateDecl>& states,
                        const char* type_name);

@@ -104,31 +104,10 @@ void TestConfig::Validate() const {
          "its first revisited state — including the initial state every "
          "iteration shares)");
   }
-  if (max_restarts > 0 && max_crashes == 0) {
-    fail("max_restarts > 0 with max_crashes == 0 (nothing can ever crash, "
-         "so no restart could ever fire)");
-  }
-  if (drop_probability_den == 1) {
-    fail("drop_probability_den == 1 (every message would be dropped and no "
-         "protocol could make progress; use 0 to disable drops)");
-  }
-  if (partition_heal_den == 1) {
-    fail("partition_heal_den == 1 (every partition would heal on the very "
-         "next step, making partitions one-step blips; use 0 to disable "
-         "heals or >= 2 for a real outage window)");
-  }
-  if (FaultsEnabled() && fault_odds_den < 2) {
-    fail("fault_odds_den < 2 with faults enabled (budgeted faults would all "
-         "fire at the first eligible point, exploring a single failure "
-         "schedule)");
-  }
-  if (fault_placement_points < 0) {
-    fail("fault_placement_points is negative (use 0 for geometric placement)");
-  }
-  if (fault_placement_points > 0 && max_crashes == 0 && max_partitions == 0) {
-    fail("fault_placement_points > 0 with no crash or partition budget "
-         "(pre-sampled placement governs destructive faults only, so "
-         "nothing could ever fire at the sampled points)");
+  try {
+    faults.Validate();
+  } catch (const std::invalid_argument& error) {
+    fail(error.what());
   }
   if (corpus_mutation && !stateful) {
     fail("corpus_mutation without stateful (the corpus's interest signal is "
@@ -147,13 +126,7 @@ RuntimeOptions MakeRuntimeOptions(const TestConfig& config, bool logging) {
   options.stateful = config.stateful;
   options.fingerprint_payloads = config.fingerprint_payloads;
   options.record_fingerprint_trail = config.record_fingerprint_trail;
-  options.max_crashes = config.max_crashes;
-  options.max_restarts = config.max_restarts;
-  options.drop_probability_den = config.drop_probability_den;
-  options.max_duplications = config.max_duplications;
-  options.max_partitions = config.max_partitions;
-  options.partition_heal_den = config.partition_heal_den;
-  options.fault_odds_den = config.fault_odds_den;
+  options.faults = config.faults;
   return options;
 }
 
@@ -246,21 +219,28 @@ bool StepToCompletion(Runtime& runtime, const Harness& harness,
 ExecutionRunner::ExecutionRunner(const TestConfig& config,
                                  const Harness& harness,
                                  SchedulingStrategy& strategy,
-                                 obs::WorkerObs* obs)
+                                 obs::WorkerObs* obs, RuntimeOptions options)
     : config_(config),
       harness_(harness),
       strategy_(strategy),
       obs_(obs),
-      options_(MakeRuntimeOptions(config, /*logging=*/false)),
+      options_(std::move(options)),
       arena_(std::make_unique<detail::EventArena>()) {
   if (obs_ != nullptr) {
     options_.probe = &obs_->probe;
   }
 }
 
-ExecutionRunner::~ExecutionRunner() { DropRecycledRuntime(); }
+ExecutionRunner::ExecutionRunner(const TestConfig& config,
+                                 const Harness& harness,
+                                 SchedulingStrategy& strategy,
+                                 obs::WorkerObs* obs)
+    : ExecutionRunner(config, harness, strategy, obs,
+                      MakeRuntimeOptions(config, /*logging=*/false)) {}
 
-void ExecutionRunner::DropRecycledRuntime() {
+ExecutionRunner::~ExecutionRunner() { DropRuntime(); }
+
+void ExecutionRunner::DropRuntime() {
   if (runtime_ == nullptr) {
     return;
   }
@@ -294,7 +274,7 @@ void ExecutionRunner::RunBody(Runtime& runtime, bool run_harness,
       mode_ = (!options_.logging && runtime.SealForReuse()) ? Mode::kRecycling
                                                             : Mode::kFresh;
     }
-    if (config_.stateful && visited != nullptr) {
+    if (options_.stateful && visited != nullptr) {
       result.hit_step_bound = StepFromSetupStateful(
           runtime, config_.max_steps, config_.prune_run,
           strategy_.PruneHoldoffSteps(), *visited, result);
@@ -313,7 +293,8 @@ void ExecutionRunner::RunBody(Runtime& runtime, bool run_harness,
     obs_->FlushExecution(runtime, result, visited);
   }
   result.trace = runtime.TakeTrace();
-  if (config_.stateful && config_.record_fingerprint_trail) {
+  result.log = runtime.TakeLog();
+  if (options_.stateful && options_.record_fingerprint_trail) {
     result.fingerprint_trail = runtime.TakeFingerprintTrail();
   }
 }
@@ -321,45 +302,36 @@ void ExecutionRunner::RunBody(Runtime& runtime, bool run_harness,
 ExecutionResult ExecutionRunner::RunOne(std::uint64_t iteration,
                                         VisitedSet* visited) {
   ExecutionResult result;
-  if (config_.fault_placement_points > 0) {
+  if (options_.faults.fault_placement_points > 0) {
     // Arm pre-sampled fault placement before PrepareIteration samples the
     // points (strategies that don't sample stay on geometric placement).
-    strategy_.SetFaultPlacementPoints(config_.fault_placement_points);
+    strategy_.SetFaultPlacementPoints(options_.faults.fault_placement_points);
   }
   strategy_.PrepareIteration(iteration, config_.max_steps);
   if (obs_ != nullptr) {
     obs_->BeginExecution();
   }
-  switch (mode_) {
-    case Mode::kRecycling: {
-      const detail::ScopedEventArenaArm arm(arena_.get());
-      runtime_->ResetForNextExecution(arena_.get());
-      RunBody(*runtime_, /*run_harness=*/false, /*try_seal=*/false, result,
-              visited);
-      return result;
-    }
-    case Mode::kProbing: {
-      {
-        // Armed optimistically: if the seal succeeds this execution's live
-        // events are already arena-backed, exactly like every later one.
-        const detail::ScopedEventArenaArm arm(arena_.get());
-        runtime_ = std::make_unique<Runtime>(strategy_, options_);
-        RunBody(*runtime_, /*run_harness=*/true, /*try_seal=*/true, result,
-                visited);
-      }
-      if (mode_ != Mode::kRecycling) {
-        // Opted out (or the harness itself threw, leaving mode_ at kProbing
-        // to retry the seal next time): this probe's runtime dies with its
-        // arena, and later executions take the fresh/pool path below.
-        DropRecycledRuntime();
-      }
-      return result;
-    }
-    case Mode::kFresh:
-      break;
+  if (mode_ == Mode::kRecycling) {
+    const detail::ScopedEventArenaArm arm(arena_.get());
+    runtime_->ResetForNextExecution(arena_.get());
+    RunBody(*runtime_, /*run_harness=*/false, /*try_seal=*/false, result,
+            visited);
+    return result;
   }
-  Runtime runtime(strategy_, options_);
-  RunBody(runtime, /*run_harness=*/true, /*try_seal=*/false, result, visited);
+  {
+    // Armed before the Runtime exists: if the seal succeeds this
+    // execution's live events are already arena-backed, exactly like every
+    // later one; if not, the Runtime dies with its arena epoch below.
+    const detail::ScopedEventArenaArm arm(arena_.get());
+    runtime_ = std::make_unique<Runtime>(strategy_, options_);
+    RunBody(*runtime_, /*run_harness=*/true,
+            /*try_seal=*/mode_ == Mode::kProbing, result, visited);
+  }
+  if (mode_ != Mode::kRecycling) {
+    // Vetoed (or the harness itself threw, leaving mode_ at kProbing to
+    // retry the seal next time): this execution's Runtime is not kept.
+    DropRuntime();
+  }
   return result;
 }
 
@@ -372,7 +344,7 @@ Campaign::Campaign(const TestConfig& config, const Harness& harness,
       tallies_(static_cast<std::size_t>(workers)),
       start_(Clock::now()) {}
 
-void Campaign::RunWorker(int worker, const TestConfig& worker_config,
+void Campaign::RunWorker(int worker, const FaultPlan& faults,
                          SchedulingStrategy& strategy,
                          std::uint64_t iterations) {
   // Per-worker observability handle on the worker's own stack: the probe
@@ -385,9 +357,13 @@ void Campaign::RunWorker(int worker, const TestConfig& worker_config,
   }
   // One recycled Runtime (and one event arena) serves the worker's whole
   // slice when the harness opted in (kReusableRuntime); otherwise the runner
-  // builds a fresh Runtime per iteration. Declared after worker_obs: the
-  // runner borrows it and must die first.
-  ExecutionRunner runner(worker_config, harness_, strategy, worker_obs.get());
+  // builds a fresh Runtime per iteration on the same arena. Declared after
+  // worker_obs: the runner borrows it and must die first.
+  RuntimeOptions runtime_options =
+      MakeRuntimeOptions(config_, /*logging=*/false);
+  runtime_options.faults = faults;
+  ExecutionRunner runner(config_, harness_, strategy, worker_obs.get(),
+                         std::move(runtime_options));
   // Tallied on the stack and published once at the end, so workers never
   // share a cache line in the inner loop.
   WorkerTally tally;
@@ -451,7 +427,7 @@ TestReport Campaign::Fold() {
     report.injected_faults += tally.injected_faults;
   }
   report.total_seconds = SecondsSince(start_);
-  report.faults = config_.FaultsEnabled();
+  report.faults = config_.faults.Enabled();
   if (visited_ != nullptr) {
     report.stateful = true;
     report.distinct_states = visited_->Size();
@@ -498,7 +474,7 @@ TestReport TestingEngine::Run() {
   const auto strategy = StrategyRegistry::Instance().Create(
       config_.strategy, config_.seed, config_.strategy_budget);
   Campaign campaign(config_, harness_, /*workers=*/1, options_);
-  campaign.RunWorker(0, config_, *strategy, config_.iterations);
+  campaign.RunWorker(0, config_.faults, *strategy, config_.iterations);
   TestReport report = campaign.Fold();
   report.strategy_name = strategy->Name();
   if (report.bug_found && config_.readable_trace_on_bug) {
@@ -508,11 +484,8 @@ TestReport TestingEngine::Run() {
 }
 
 TestReport TestingEngine::Replay(const Trace& trace) {
-  TestReport report;
   ReplayStrategy strategy(trace);
-  strategy.PrepareIteration(0, config_.max_steps);
-  report.strategy_name = strategy.Name();
-  RuntimeOptions options = MakeRuntimeOptions(config_, true);
+  RuntimeOptions options = MakeRuntimeOptions(config_, /*logging=*/true);
   // Replay reproduces one recorded witness; it never dedups or prunes, even
   // when the config that FOUND the bug was stateful.
   options.stateful = false;
@@ -521,34 +494,34 @@ TestReport TestingEngine::Replay(const Trace& trace) {
   // needs (and takes) no fault configuration: a fault-free trace replays
   // with zero fault queries matched, a fault trace re-applies every recorded
   // fault at its exact coordinate.
+  options.faults = FaultPlan{};
   options.replay_faults = true;
-  Runtime runtime(strategy, options);
-  ++report.executions;
+  ExecutionRunner runner(config_, harness_, strategy, /*obs=*/nullptr,
+                         std::move(options));
   const auto start = Clock::now();
-  try {
-    StepToCompletion(runtime, harness_, config_.max_steps);
-  } catch (const BugFound& bug) {
-    report.bug_found = true;
-    report.bug_kind = bug.Kind();
-    report.bug_message = bug.what();
-    report.bug_iteration = 1;
-    report.seconds_to_bug = SecondsSince(start);
-    report.ndc = runtime.GetTrace().Size();
-    report.bug_steps = runtime.Steps();
-    report.bug_trace = runtime.GetTrace();
-  }
-  report.total_steps = runtime.Steps();
+  ExecutionResult result = runner.RunOne(/*iteration=*/0, /*visited=*/nullptr);
+  TestReport report;
+  report.executions = 1;
   report.total_seconds = SecondsSince(start);
-  report.execution_log = runtime.Log();
-  report.injected_faults = runtime.GetFaultStats();
-  report.faults = report.injected_faults.Total() > 0;
-  if (!report.bug_found) {
-    // Expose the re-recorded decision list on clean replays too, so callers
-    // (corpus tests, bit-for-bit verification) can compare it against the
-    // input trace instead of inferring fidelity from the absence of a
-    // divergence report.
-    report.bug_trace = runtime.GetTrace();
+  report.strategy_name = strategy.Name();
+  report.total_steps = result.steps;
+  report.execution_log = std::move(result.log);
+  report.injected_faults = result.faults;
+  report.faults = result.faults.Total() > 0;
+  if (result.bug_found) {
+    report.bug_found = true;
+    report.bug_kind = result.bug_kind;
+    report.bug_message = std::move(result.bug_message);
+    report.bug_iteration = 1;
+    report.seconds_to_bug = report.total_seconds;
+    report.ndc = result.trace.Size();
+    report.bug_steps = result.steps;
   }
+  // Clean replays expose the re-recorded decision list too, so callers
+  // (corpus tests, bit-for-bit verification) can compare it against the
+  // input trace instead of inferring fidelity from the absence of a
+  // divergence report.
+  report.bug_trace = std::move(result.trace);
   return report;
 }
 

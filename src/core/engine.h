@@ -105,46 +105,9 @@ struct TestConfig {
   /// off by default so production stateful runs pay nothing for trails.
   bool record_fingerprint_trail = false;
 
-  // ---- Fault plane (README "Fault injection") ----
-  // Scheduler-controlled machine crash/restart and per-delivery message
-  // drop/duplication, decided by the active strategy at first-class choice
-  // points and recorded in the trace (format v2), so failure schedules are
-  // explored, budgeted and replayable exactly like scheduling decisions.
-  // All defaults off: fault-free runs are bit-for-bit unchanged.
-
-  /// Per-execution crash budget (machines opted in via
-  /// Runtime::SetCrashable). 0 disables crashes.
-  std::uint64_t max_crashes = 0;
-  /// Per-execution restart budget for crashed machines. 0 disables restarts
-  /// (crashes are then permanent for the execution).
-  std::uint64_t max_restarts = 0;
-  /// Per-delivery drop odds denominator: each machine-to-machine delivery
-  /// is dropped with probability 1/den. 0 disables drops.
-  std::uint64_t drop_probability_den = 0;
-  /// Per-execution duplication budget (a delivery enqueued twice). 0
-  /// disables duplication.
-  std::uint64_t max_duplications = 0;
-  /// Per-execution partition budget: the strategy may isolate a machine
-  /// opted in via Runtime::SetPartitionable (deliveries between it and any
-  /// other machine vanish) and heal it as a separate choice point. Recorded
-  /// as trace v3 decisions; 0 disables partitions.
-  std::uint64_t max_partitions = 0;
-  /// Per-step heal odds denominator while a partition is installed. 0
-  /// disables heals (partitions last the rest of the execution).
-  std::uint64_t partition_heal_den = 4;
-  /// Odds denominator for the budgeted rolls: while budget remains, a crash,
-  /// restart or partition fires with probability 1/den per step and a
-  /// duplication with 1/den per delivery. Shapes WHEN faults land, not how
-  /// many.
-  std::uint64_t fault_odds_den = 16;
-  /// PCT-style pre-sampled fault placement: when > 0, each iteration
-  /// samples this many fault points uniformly from the step budget up front
-  /// (mirroring PCT's priority change points) and destructive faults
-  /// (crash, partition) fire only at those points instead of geometric
-  /// per-step odds — fault depth becomes bounded and systematic. Honored by
-  /// the built-in random/PCT/delay-bounded strategies; others keep the
-  /// geometric default. 0 = geometric placement.
-  int fault_placement_points = 0;
+  /// Fault plane budgets and odds (FaultPlan, README "Fault injection"). All
+  /// off by default: fault-free runs are bit-for-bit unchanged.
+  FaultPlan faults;
 
   /// Coverage-guided exploration (corpus/trace_corpus.h): marks this run as
   /// corpus-fed. Portfolio plans convert some workers to the "mutate"
@@ -153,21 +116,13 @@ struct TestConfig {
   /// TestSession when a corpus dir or the mutate strategy is requested.
   bool corpus_mutation = false;
 
-  /// Whether this config turns the fault plane on.
-  [[nodiscard]] bool FaultsEnabled() const noexcept {
-    return max_crashes > 0 || drop_probability_den > 0 ||
-           max_duplications > 0 || max_partitions > 0;
-  }
-
   /// Fails fast on configurations that would silently explore nothing:
   /// throws std::invalid_argument for zero iterations, zero max_steps, an
   /// empty strategy name, a negative time budget, a liveness temperature
   /// threshold above the step bound, fingerprint_payloads without stateful,
   /// stateful with max_visited == 0, max_visited_hot == 0 or prune_run == 0,
-  /// a visited_spill_dir without stateful, restarts without
-  /// crashes, a drop denominator of 1 (every message dropped), a heal
-  /// denominator of 1 (every partition healed on the next step), fault
-  /// odds below 2, or pre-sampled fault placement with no fault budgets.
+  /// a visited_spill_dir without stateful, corpus_mutation without
+  /// stateful, or a degenerate fault plan (FaultPlan::Validate).
   /// TestSession calls this before running.
   void Validate() const;
 };
@@ -252,6 +207,8 @@ struct ExecutionResult {
 
   /// Faults injected into this execution (all-zero for fault-free runs).
   Runtime::FaultStats faults;
+  /// Readable execution log; empty unless the runner's options log.
+  std::string log;
   /// Post-step fingerprint sequence (moved out of the Runtime; empty unless
   /// TestConfig::record_fingerprint_trail). Deterministic for a given seed —
   /// prunes only truncate it.
@@ -272,32 +229,38 @@ RuntimeOptions MakeRuntimeOptions(const TestConfig& config, bool logging);
 bool StepToCompletion(Runtime& runtime, const Harness& harness,
                       std::uint64_t max_steps);
 
-/// Thread-affine execution runner, the unit of work of every campaign: it
-/// prepares the strategy for an iteration, runs one execution to completion
-/// and converts any BugFound into the returned result. The first RunOne
-/// builds the Runtime and runs the harness as usual, then tries
-/// Runtime::SealForReuse. If every harness machine/monitor opted in
-/// (kReusableRuntime), the SAME Runtime serves every later execution via
-/// ResetForNextExecution, with events bump-allocated from an
-/// execution-scoped arena that rewinds between executions — no
-/// construction, no per-event frees, no trace reallocation. Otherwise the
-/// runner falls back to a fresh Runtime per execution on the thread-local
-/// event pool. Results are identical either way: golden traces,
-/// fingerprints and RNG streams do not depend on which path ran
+/// Thread-affine execution runner, the unit of work of every campaign and
+/// of replay: it prepares the strategy for an iteration, runs one execution
+/// to completion and converts any BugFound into the returned result. Every
+/// execution runs on the runner's event arena, which rewinds between
+/// executions. The first RunOne builds the Runtime and runs the harness,
+/// then tries Runtime::SealForReuse. If every harness machine/monitor opted
+/// in (kReusableRuntime) and logging is off, the SAME Runtime serves every
+/// later execution via ResetForNextExecution — no construction, no
+/// per-event frees, no trace reallocation. Otherwise (a vetoed seal, or a
+/// logging replay) each execution builds a fresh Runtime, still on the
+/// arena. Results are identical either way: golden traces, fingerprints and
+/// RNG streams do not depend on which path ran
 /// (tests/core_recycle_test.cc pins this).
 ///
 /// One runner per thread; it borrows config/harness/strategy/obs, which
-/// must outlive it. Replay never recycles (TestingEngine::Replay builds its
-/// own Runtime), so witness reproduction is untouched.
+/// must outlive it.
 class ExecutionRunner {
  public:
+  /// Runs under `options` (Campaign: MakeRuntimeOptions(config, false);
+  /// TestingEngine::Replay: logging, replay_faults, not stateful). Pruning
+  /// follows options.stateful; config supplies max_steps and prune_run.
+  ExecutionRunner(const TestConfig& config, const Harness& harness,
+                  SchedulingStrategy& strategy, obs::WorkerObs* obs,
+                  RuntimeOptions options);
+  /// Runs under MakeRuntimeOptions(config, /*logging=*/false).
   ExecutionRunner(const TestConfig& config, const Harness& harness,
                   SchedulingStrategy& strategy, obs::WorkerObs* obs);
   ~ExecutionRunner();
   ExecutionRunner(const ExecutionRunner&) = delete;
   ExecutionRunner& operator=(const ExecutionRunner&) = delete;
 
-  /// Runs one execution for the 0-based `iteration`. With config.stateful
+  /// Runs one execution for the 0-based `iteration`. With options.stateful
   /// and a non-null `visited`, every post-step fingerprint is checked
   /// against the set and the execution is pruned after config.prune_run
   /// consecutive known states. A non-null obs attaches its ExecutionProbe
@@ -306,26 +269,26 @@ class ExecutionRunner {
   ExecutionResult RunOne(std::uint64_t iteration, VisitedSet* visited);
 
   /// Whether the runner is currently recycling one sealed Runtime (false
-  /// until the first RunOne, and permanently false after a fallback).
+  /// until the first RunOne, and permanently false after a veto).
   [[nodiscard]] bool Recycling() const noexcept {
     return mode_ == Mode::kRecycling;
   }
 
  private:
   enum class Mode : std::uint8_t {
-    kProbing,    ///< first execution: build, run, try to seal
-    kRecycling,  ///< sealed: reset-and-reuse with the arena armed
-    kFresh,      ///< opted out: fresh Runtime per execution, pool path
+    kProbing,    ///< fresh Runtime, seal attempted after the harness
+    kRecycling,  ///< sealed: reset-and-reuse one Runtime
+    kFresh,      ///< seal vetoed: fresh Runtime per execution, no retry
   };
 
   /// harness (optional) + seal attempt (optional) + step loop + result
   /// assembly.
   void RunBody(Runtime& runtime, bool run_harness, bool try_seal,
                ExecutionResult& result, VisitedSet* visited);
-  /// Destroys the recycled Runtime while its arena is armed (arena-backed
-  /// event deletes must no-op), freeing the heap-backed setup prototypes
-  /// after disarming, then rewinds the arena.
-  void DropRecycledRuntime();
+  /// Destroys the Runtime while its arena is armed (arena-backed event
+  /// deletes must no-op), freeing the heap-backed setup prototypes after
+  /// disarming, then rewinds the arena.
+  void DropRuntime();
 
   const TestConfig& config_;
   const Harness& harness_;
@@ -333,7 +296,7 @@ class ExecutionRunner {
   obs::WorkerObs* obs_;
   RuntimeOptions options_;  ///< built once; probe wired at construction
   std::unique_ptr<detail::EventArena> arena_;
-  std::unique_ptr<Runtime> runtime_;  ///< the recycled Runtime (kRecycling)
+  std::unique_ptr<Runtime> runtime_;  ///< the execution's (or sealed) Runtime
   Mode mode_ = Mode::kProbing;
 };
 
@@ -391,11 +354,11 @@ class Campaign {
            const CampaignOptions& options);
 
   /// Runs worker `worker`: up to `iterations` executions of `strategy` under
-  /// `worker_config` (the fleet config with this worker's fault budgets),
-  /// until the time budget, another worker's first bug or, with
+  /// the fleet config with `faults` (this worker's plan assignment) as its
+  /// fault plan, until the time budget, another worker's first bug or, with
   /// stop_on_first_bug, its own bug ends it. Safe to call concurrently for
   /// distinct workers.
-  void RunWorker(int worker, const TestConfig& worker_config,
+  void RunWorker(int worker, const FaultPlan& faults,
                  SchedulingStrategy& strategy, std::uint64_t iterations);
 
   [[nodiscard]] const WorkerTally& Tally(int worker) const {
@@ -437,9 +400,10 @@ class TestingEngine {
   /// first bug, per config). Returns the aggregate report.
   TestReport Run();
 
-  /// Replays a recorded trace once, with readable logging enabled, and
+  /// Replays a recorded trace once through ExecutionRunner, with readable
+  /// logging enabled and the failure schedule read from the trace, and
   /// returns the resulting report (bug_found reflects whether the violation
-  /// reproduced).
+  /// reproduced). Never recycles, dedups or observes.
   TestReport Replay(const Trace& trace);
 
   [[nodiscard]] const TestConfig& Config() const noexcept { return config_; }

@@ -10,15 +10,16 @@
 #endif
 
 #if defined(__SANITIZE_ADDRESS__)
-// Arena memory is poisoned while no live event occupies it, so ASan reports
-// a stale event read across an epoch (ResetEpoch) as use-after-poison.
+// Arena memory and pooled blocks are poisoned while no live event occupies
+// them, so ASan reports a stale event read — across an arena epoch
+// (ResetEpoch) or after a pooled event was freed — as use-after-poison.
 #include <sanitizer/asan_interface.h>
-#define SYSTEST_ARENA_POISON(addr, size) ASAN_POISON_MEMORY_REGION(addr, size)
-#define SYSTEST_ARENA_UNPOISON(addr, size) \
+#define SYSTEST_EVENT_POISON(addr, size) ASAN_POISON_MEMORY_REGION(addr, size)
+#define SYSTEST_EVENT_UNPOISON(addr, size) \
   ASAN_UNPOISON_MEMORY_REGION(addr, size)
 #else
-#define SYSTEST_ARENA_POISON(addr, size) ((void)(addr), (void)(size))
-#define SYSTEST_ARENA_UNPOISON(addr, size) ((void)(addr), (void)(size))
+#define SYSTEST_EVENT_POISON(addr, size) ((void)(addr), (void)(size))
+#define SYSTEST_EVENT_UNPOISON(addr, size) ((void)(addr), (void)(size))
 #endif
 
 namespace systest {
@@ -123,7 +124,7 @@ void* EventArena::Allocate(std::size_t requested) {
       if (offset_ + size <= chunk.size) {
         void* ptr = chunk.data.get() + offset_;
         offset_ += size;
-        SYSTEST_ARENA_UNPOISON(ptr, requested);
+        SYSTEST_EVENT_UNPOISON(ptr, requested);
         return ptr;
       }
       ++current_;
@@ -132,13 +133,13 @@ void* EventArena::Allocate(std::size_t requested) {
     }
     chunks_.push_back(Chunk{std::make_unique<std::byte[]>(kChunkSize),
                             kChunkSize});
-    SYSTEST_ARENA_POISON(chunks_.back().data.get(), kChunkSize);
+    SYSTEST_EVENT_POISON(chunks_.back().data.get(), kChunkSize);
   }
 }
 
 void EventArena::ResetEpoch() noexcept {
   for (std::size_t i = 0; i < chunks_.size() && i <= current_; ++i) {
-    SYSTEST_ARENA_POISON(chunks_[i].data.get(), chunks_[i].size);
+    SYSTEST_EVENT_POISON(chunks_[i].data.get(), chunks_[i].size);
   }
   current_ = 0;
   offset_ = 0;
@@ -165,13 +166,20 @@ ScopedEventArenaPause::~ScopedEventArenaPause() { g_armed_arena = previous_; }
 namespace {
 
 // Event free-list pool: bins of 16 bytes up to 512, bounded per bin so a
-// pathological burst cannot pin unbounded memory. Everything is
+// pathological burst cannot pin unbounded memory. It serves events outside
+// an armed arena — bare Runtimes such as unit tests and perfbench's control
+// replay; every ExecutionRunner execution runs on its arena. Everything is
 // thread-local; the destructor returns retained blocks to the system when a
-// (worker) thread exits.
+// (worker) thread exits. Under ASan a pooled block is poisoned past its
+// free-list link until it is handed out again.
 constexpr std::size_t kBinStep = 16;
 constexpr std::size_t kMaxPooledSize = 512;
 constexpr std::size_t kNumBins = kMaxPooledSize / kBinStep;
 constexpr std::size_t kMaxPerBin = 1024;
+
+constexpr std::size_t BlockSize(std::size_t bin) {
+  return (bin + 1) * kBinStep;
+}
 
 struct EventPool {
   struct FreeList {
@@ -181,11 +189,12 @@ struct EventPool {
   FreeList bins[kNumBins];
 
   ~EventPool() {
-    for (FreeList& bin : bins) {
-      while (bin.head != nullptr) {
-        void* next = *static_cast<void**>(bin.head);
-        ::operator delete(bin.head);
-        bin.head = next;
+    for (std::size_t bin = 0; bin < kNumBins; ++bin) {
+      while (bins[bin].head != nullptr) {
+        void* block = bins[bin].head;
+        bins[bin].head = *static_cast<void**>(block);
+        SYSTEST_EVENT_UNPOISON(block, BlockSize(bin));
+        ::operator delete(block);
       }
     }
   }
@@ -235,10 +244,11 @@ void* Event::operator new(std::size_t size) {
       list.head = *static_cast<void**>(ptr);
       --list.count;
       ++stats.pool_hits;
+      SYSTEST_EVENT_UNPOISON(ptr, BlockSize(bin));
       return ptr;
     }
     ++stats.pool_misses;
-    return ::operator new((bin + 1) * kBinStep);
+    return ::operator new(BlockSize(bin));
   }
   ++stats.pool_misses;
   return ::operator new(size);
@@ -263,6 +273,9 @@ void Event::operator delete(void* ptr, std::size_t size) noexcept {
       *static_cast<void**>(ptr) = list.head;
       list.head = ptr;
       ++list.count;
+      // The link stays readable; the rest of the block is dead until reuse.
+      SYSTEST_EVENT_POISON(static_cast<char*>(ptr) + sizeof(void*),
+                           BlockSize(bin) - sizeof(void*));
       return;
     }
   }

@@ -15,10 +15,12 @@
 //
 // The arena is thread-affine and armed per execution via
 // ScopedEventArenaArm: while armed, Event::operator new bump-allocates from
-// the arena and Event::operator delete does nothing. While NOT armed, the
-// existing thread-local size-class pool (event.cc) serves allocations
-// unchanged, so one-shot runtimes and tests see the exact pre-existing
-// behaviour.
+// the arena and Event::operator delete does nothing. ExecutionRunner arms
+// it for every execution it runs — a recycled Runtime, a fresh Runtime
+// after a vetoed seal (destroyed before the epoch rewinds), and
+// TestingEngine::Replay. While NOT armed, the thread-local size-class pool
+// (event.cc) serves allocations, so bare Runtimes driven outside a runner
+// (unit tests, perfbench's control replay) keep their free-list reuse.
 //
 // Two sharp edges this design must respect (both bit us in review before a
 // line was written):
@@ -101,8 +103,8 @@ class EventArena {
 
 /// Arms `arena` (which may be nullptr — the explicit "pool path" state)
 /// for the scope's duration, restoring whatever was armed before. One
-/// scope wraps one execution in ExecutionRunner::RunOne, so interleaved
-/// fresh-runtime executions on the same thread are unaffected.
+/// scope wraps one execution in ExecutionRunner::RunOne, so a bare Runtime
+/// used between them on the same thread stays on the pool.
 class ScopedEventArenaArm {
  public:
   explicit ScopedEventArenaArm(EventArena* arena) noexcept;

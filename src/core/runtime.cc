@@ -1,6 +1,7 @@
 #include "core/runtime.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "core/event_arena.h"
 #include "obs/probe.h"
@@ -502,13 +503,46 @@ void Monitor::HandleNotification(const Event& event) {
 }
 
 // ===========================================================================
+// FaultPlan
+
+void FaultPlan::Validate() const {
+  auto fail = [](const char* what) { throw std::invalid_argument(what); };
+  if (max_restarts > 0 && max_crashes == 0) {
+    fail("max_restarts > 0 with max_crashes == 0 (nothing can ever crash, "
+         "so no restart could ever fire)");
+  }
+  if (drop_probability_den == 1) {
+    fail("drop_probability_den == 1 (every message would be dropped and no "
+         "protocol could make progress; use 0 to disable drops)");
+  }
+  if (partition_heal_den == 1) {
+    fail("partition_heal_den == 1 (every partition would heal on the very "
+         "next step, making partitions one-step blips; use 0 to disable "
+         "heals or >= 2 for a real outage window)");
+  }
+  if (Enabled() && fault_odds_den < 2) {
+    fail("fault_odds_den < 2 with faults enabled (budgeted faults would all "
+         "fire at the first eligible point, exploring a single failure "
+         "schedule)");
+  }
+  if (fault_placement_points < 0) {
+    fail("fault_placement_points is negative (use 0 for geometric placement)");
+  }
+  if (fault_placement_points > 0 && max_crashes == 0 && max_partitions == 0) {
+    fail("fault_placement_points > 0 with no crash or partition budget "
+         "(pre-sampled placement governs destructive faults only, so "
+         "nothing could ever fire at the sampled points)");
+  }
+}
+
+// ===========================================================================
 // Runtime
 
 Runtime::Runtime(SchedulingStrategy& strategy, RuntimeOptions options)
     : strategy_(strategy),
       options_(options),
       strategy_builtin_(strategy.Builtin()),
-      fault_mode_(options_.FaultInjectionEnabled() || options_.replay_faults),
+      fault_mode_(options_.faults.Enabled() || options_.replay_faults),
       probe_(options_.probe) {
   // One up-front allocation instead of log2(steps) regrows per execution;
   // capped so huge step bounds don't preallocate tens of megabytes.
@@ -534,19 +568,11 @@ MachineId Runtime::Attach(std::unique_ptr<Machine> machine,
                        "' declared no start state (call SetStart)");
   }
   if (machine->decl_ == nullptr) {
-    if (machine->share_decls_) {
-      // First instance of this machine type anywhere in the process: compile
-      // and publish its declarations. Later instances skip declaration
-      // building entirely (see CreateMachine).
-      machine->decl_ = detail::DeclRegistry::GetOrCompileMachineDecl(
-          std::type_index(typeid(*machine)),
-          std::move(machine->builder_states_));
-    } else {
-      machine->owned_decl_ = detail::CompileMachineDeclUnshared(
-          std::type_index(typeid(*machine)),
-          std::move(machine->builder_states_));
-      machine->decl_ = machine->owned_decl_.get();
-    }
+    // First instance of this machine type anywhere in the process: compile
+    // and publish its declarations. Later instances skip declaration
+    // building entirely (see CreateMachine).
+    machine->decl_ = detail::DeclRegistry::GetOrCompileMachineDecl(
+        std::type_index(typeid(*machine)), std::move(machine->builder_states_));
     machine->builder_states_.clear();
   }
   if (probe_ != nullptr && probe_->coverage) [[unlikely]] {
@@ -583,16 +609,8 @@ void Runtime::AttachMonitor(std::unique_ptr<Monitor> monitor,
                        "' declared no start state (call SetStart)");
   }
   if (monitor->decl_ == nullptr) {
-    if (monitor->share_decls_) {
-      monitor->decl_ = detail::DeclRegistry::GetOrCompileMonitorDecl(
-          std::type_index(typeid(*monitor)),
-          std::move(monitor->builder_states_));
-    } else {
-      monitor->owned_decl_ = detail::CompileMonitorDeclUnshared(
-          std::type_index(typeid(*monitor)),
-          std::move(monitor->builder_states_));
-      monitor->decl_ = monitor->owned_decl_.get();
-    }
+    monitor->decl_ = detail::DeclRegistry::GetOrCompileMonitorDecl(
+        std::type_index(typeid(*monitor)), std::move(monitor->builder_states_));
     monitor->builder_states_.clear();
   }
   Monitor* raw = monitor.get();
@@ -793,14 +811,14 @@ bool Runtime::Step() {
 void Runtime::MaybeInjectFault() {
   FaultContext ctx;
   ctx.step = steps_;
-  ctx.odds_den = options_.fault_odds_den;
-  ctx.heal_den = options_.partition_heal_den;
+  ctx.odds_den = options_.faults.fault_odds_den;
+  ctx.heal_den = options_.faults.partition_heal_den;
   if (!options_.replay_faults) {
     // Exploration: offer the strategy only what the budgets still allow.
     // Candidate collection is skipped entirely when no machine qualifies, so
     // scenarios with no SetCrashable/SetPartitionable opt-ins never pay for
     // (or perturb RNG with) fault rolls.
-    if (fault_stats_.crashes < options_.max_crashes &&
+    if (fault_stats_.crashes < options_.faults.max_crashes &&
         crashable_machines_ > 0) {
       crash_scratch_.clear();
       for (const auto& machine : machines_) {
@@ -810,7 +828,7 @@ void Runtime::MaybeInjectFault() {
       }
       ctx.crashable = crash_scratch_;
     }
-    if (fault_stats_.restarts < options_.max_restarts &&
+    if (fault_stats_.restarts < options_.faults.max_restarts &&
         crashed_machines_ > 0) {
       restart_scratch_.clear();
       for (const auto& machine : machines_) {
@@ -820,7 +838,7 @@ void Runtime::MaybeInjectFault() {
       }
       ctx.restartable = restart_scratch_;
     }
-    if (fault_stats_.partitions < options_.max_partitions &&
+    if (fault_stats_.partitions < options_.faults.max_partitions &&
         partitionable_machines_ > 0) {
       partition_scratch_.clear();
       for (const auto& machine : machines_) {
@@ -831,7 +849,7 @@ void Runtime::MaybeInjectFault() {
       }
       ctx.partitionable = partition_scratch_;
     }
-    if (options_.partition_heal_den > 0 && partitioned_machines_ > 0) {
+    if (options_.faults.partition_heal_den > 0 && partitioned_machines_ > 0) {
       heal_scratch_.clear();
       for (const auto& machine : machines_) {
         if (machine->partitioned_) {
@@ -983,12 +1001,12 @@ bool Runtime::ApplyDeliveryFault(Machine& target, const Event& ev) {
   ctx.ordinal = ordinal;
   ctx.target = target.id_;
   if (!options_.replay_faults) {
-    ctx.drop_allowed = options_.drop_probability_den > 0;
-    ctx.drop_den = options_.drop_probability_den;
+    ctx.drop_allowed = options_.faults.drop_probability_den > 0;
+    ctx.drop_den = options_.faults.drop_probability_den;
     ctx.duplicate_allowed =
-        fault_stats_.duplications < options_.max_duplications &&
+        fault_stats_.duplications < options_.faults.max_duplications &&
         detail::CloneFnFor(ev.TypeId()) != nullptr;
-    ctx.dup_den = options_.fault_odds_den;
+    ctx.dup_den = options_.faults.fault_odds_den;
     if (!ctx.drop_allowed && !ctx.duplicate_allowed) {
       return false;
     }

@@ -430,12 +430,8 @@ class Machine {
   /// Builder-form states, populated by State() in the FIRST instance of the
   /// type only; moved into the shared decl at Attach and empty afterwards.
   std::map<std::string, detail::StateDecl> builder_states_;
-  /// Immutable per-type declaration, shared across instances and Runtimes
-  /// (or pointing at owned_decl_ for opted-out types).
+  /// Immutable per-type declaration, shared across instances and Runtimes.
   const detail::MachineDecl* decl_ = nullptr;
-  /// Per-instance decl for types with kShareStateDecls == false.
-  std::unique_ptr<const detail::MachineDecl> owned_decl_;
-  bool share_decls_ = true;
   std::string start_state_;
   const detail::CompiledState* current_state_ = nullptr;
 
@@ -637,13 +633,59 @@ class Monitor {
   std::string debug_name_;
   std::map<std::string, detail::MonitorStateDecl> builder_states_;
   const detail::MonitorDecl* decl_ = nullptr;
-  std::unique_ptr<const detail::MonitorDecl> owned_decl_;
-  bool share_decls_ = true;
   std::string start_state_;
   const detail::CompiledMonitorState* current_state_ = nullptr;
   std::uint64_t hot_steps_ = 0;
   std::uint64_t transitions_taken_ = 0;
   bool reusable_ = false;  // type declared kReusableRuntime (set at register)
+};
+
+/// The fault plane's budgets and odds (README "Fault injection"): the
+/// strategy decides crashes/restarts, drops/duplications and
+/// partitions/heals at first-class choice points recorded in the trace.
+/// One value travels unchanged from TestConfig through each worker's plan
+/// assignment to RuntimeOptions. All defaults off: a fault-free execution
+/// takes one dead branch per step and is otherwise bit-for-bit unchanged.
+struct FaultPlan {
+  /// Per-execution budget of machine crashes (halt-style wipe of a machine
+  /// Runtime::SetCrashable opted in). 0 disables crashes.
+  std::uint64_t max_crashes = 0;
+  /// Per-execution budget of restarts of crashed machines (back to the start
+  /// state; members survive per Machine::OnCrash). 0 makes crashes permanent.
+  std::uint64_t max_restarts = 0;
+  /// Each machine-to-machine delivery is dropped with probability 1/den.
+  /// 0 disables drops.
+  std::uint64_t drop_probability_den = 0;
+  /// Per-execution budget of duplicated deliveries. 0 disables duplication.
+  std::uint64_t max_duplications = 0;
+  /// Per-execution budget of partitions: a machine Runtime::SetPartitionable
+  /// opted in loses every delivery to and from other machines until a heal.
+  /// 0 disables partitions.
+  std::uint64_t max_partitions = 0;
+  /// While a partition is installed it heals with probability 1/den per
+  /// step. 0 disables heals (partitions last the rest of the execution).
+  std::uint64_t partition_heal_den = 4;
+  /// While budget remains, a crash, restart or partition fires with
+  /// probability 1/den per step and a duplication with 1/den per delivery:
+  /// shapes WHEN faults land, not how many.
+  std::uint64_t fault_odds_den = 16;
+  /// PCT-style placement: when > 0, each iteration pre-samples this many
+  /// points from the step budget and destructive faults (crash, partition)
+  /// fire only there instead of at geometric per-step odds. Armed on the
+  /// strategy by ExecutionRunner; honored by the built-in
+  /// random/PCT/delay-bounded strategies. 0 = geometric placement.
+  int fault_placement_points = 0;
+
+  /// Whether this plan turns the fault plane on.
+  [[nodiscard]] bool Enabled() const noexcept {
+    return max_crashes > 0 || drop_probability_den > 0 ||
+           max_duplications > 0 || max_partitions > 0;
+  }
+
+  /// Throws std::invalid_argument for restarts without crashes, a drop or
+  /// heal denominator of 1, fault odds below 2 with faults enabled, and
+  /// negative placement or placement with no crash or partition budget.
+  void Validate() const;
 };
 
 /// Options controlling one serialized execution.
@@ -669,47 +711,14 @@ struct RuntimeOptions {
   /// runs keep it off so the step loop does no trail bookkeeping.
   bool record_fingerprint_trail = false;
 
-  // ---- Fault plane (see README "Fault injection") ----
-  // All defaults off: a fault-free execution takes one dead branch per step
-  // and is otherwise bit-for-bit what it always was.
-
-  /// Per-execution budget of machine crashes (halt-style wipe of a machine
-  /// Runtime::SetCrashable opted in, decided by the strategy at step
-  /// boundaries). 0 disables crashes.
-  std::uint64_t max_crashes = 0;
-  /// Per-execution budget of restarts of crashed machines (back to the start
-  /// state; members survive per Machine::OnCrash). 0 disables restarts.
-  std::uint64_t max_restarts = 0;
-  /// Per-delivery drop odds denominator: each machine-to-machine delivery is
-  /// dropped with probability 1/den. 0 disables drops.
-  std::uint64_t drop_probability_den = 0;
-  /// Per-execution budget of message duplications (the event is delivered
-  /// twice). 0 disables duplication.
-  std::uint64_t max_duplications = 0;
-  /// Per-execution budget of network partitions: the strategy may isolate a
-  /// machine Runtime::SetPartitionable opted in (every delivery between it
-  /// and any other machine is silently dropped) and later heal it as a
-  /// separate choice point. 0 disables partitions.
-  std::uint64_t max_partitions = 0;
-  /// Per-step heal odds denominator: while a partition is installed, the
-  /// strategy heals it with probability 1/den per step. 0 disables heals
-  /// (installed partitions last until the execution ends).
-  std::uint64_t partition_heal_den = 4;
-  /// Odds denominator for the budgeted fault rolls (crash/restart/partition
-  /// per step, duplication per delivery): each fires with probability 1/den
-  /// while budget remains.
-  std::uint64_t fault_odds_den = 16;
+  /// The fault plane (FaultPlan). fault_placement_points is the strategy's
+  /// business, armed by ExecutionRunner; the Runtime reads the rest.
+  FaultPlan faults;
   /// Replay mode: apply whatever fault decisions the ReplayStrategy reads
-  /// from its trace, ignoring the budgets above. Set by
+  /// from its trace, ignoring `faults`. Set by
   /// TestingEngine::Replay so fault traces reproduce without any fault
   /// configuration.
   bool replay_faults = false;
-
-  /// Whether this options set turns the fault plane on for exploration.
-  [[nodiscard]] bool FaultInjectionEnabled() const noexcept {
-    return max_crashes > 0 || drop_probability_den > 0 ||
-           max_duplications > 0 || max_partitions > 0;
-  }
 
   // ---- Observability (see README "Observability") ----
 
@@ -741,29 +750,24 @@ class Runtime {
   MachineId CreateMachine(std::string debug_name, Args&&... args) {
     static_assert(std::is_base_of_v<Machine, M>);
     std::unique_ptr<M> machine;
-    if constexpr (detail::SharesStateDecls<M>::value) {
-      const detail::MachineDecl* decl =
-          detail::DeclRegistry::FindMachineDecl(std::type_index(typeid(M)));
-      if (decl != nullptr) {
+    const detail::MachineDecl* decl =
+        detail::DeclRegistry::FindMachineDecl(std::type_index(typeid(M)));
+    if (decl != nullptr) {
 #ifdef NDEBUG
-        const detail::ScopedDeclSkip skip;
-        machine = std::make_unique<M>(std::forward<Args>(args)...);
+      const detail::ScopedDeclSkip skip;
+      machine = std::make_unique<M>(std::forward<Args>(args)...);
 #else
-        // Debug builds construct declarations anyway and verify they match
-        // the shared decl — the tripwire for a type that varies its state
-        // graph per instance without opting out of sharing.
-        machine = std::make_unique<M>(std::forward<Args>(args)...);
-        detail::VerifyDeclMatches(*decl, machine->builder_states_,
-                                  typeid(M).name());
-        machine->builder_states_.clear();
+      // Debug builds construct declarations anyway and verify they match
+      // the shared decl — the tripwire for a type that varies its state
+      // graph per instance instead of declaring one type per graph.
+      machine = std::make_unique<M>(std::forward<Args>(args)...);
+      detail::VerifyDeclMatches(*decl, machine->builder_states_,
+                                typeid(M).name());
+      machine->builder_states_.clear();
 #endif
-        machine->decl_ = decl;
-      } else {
-        machine = std::make_unique<M>(std::forward<Args>(args)...);
-      }
+      machine->decl_ = decl;
     } else {
       machine = std::make_unique<M>(std::forward<Args>(args)...);
-      machine->share_decls_ = false;
     }
     machine->reusable_ = detail::ReusableRuntime<M>::value;
     return Attach(std::move(machine), std::move(debug_name));
@@ -775,26 +779,21 @@ class Runtime {
   M& RegisterMonitor(std::string debug_name, Args&&... args) {
     static_assert(std::is_base_of_v<Monitor, M>);
     std::unique_ptr<M> monitor;
-    if constexpr (detail::SharesStateDecls<M>::value) {
-      const detail::MonitorDecl* decl =
-          detail::DeclRegistry::FindMonitorDecl(std::type_index(typeid(M)));
-      if (decl != nullptr) {
+    const detail::MonitorDecl* decl =
+        detail::DeclRegistry::FindMonitorDecl(std::type_index(typeid(M)));
+    if (decl != nullptr) {
 #ifdef NDEBUG
-        const detail::ScopedDeclSkip skip;
-        monitor = std::make_unique<M>(std::forward<Args>(args)...);
+      const detail::ScopedDeclSkip skip;
+      monitor = std::make_unique<M>(std::forward<Args>(args)...);
 #else
-        monitor = std::make_unique<M>(std::forward<Args>(args)...);
-        detail::VerifyMonitorDeclMatches(*decl, monitor->builder_states_,
-                                         typeid(M).name());
-        monitor->builder_states_.clear();
+      monitor = std::make_unique<M>(std::forward<Args>(args)...);
+      detail::VerifyMonitorDeclMatches(*decl, monitor->builder_states_,
+                                       typeid(M).name());
+      monitor->builder_states_.clear();
 #endif
-        monitor->decl_ = decl;
-      } else {
-        monitor = std::make_unique<M>(std::forward<Args>(args)...);
-      }
+      monitor->decl_ = decl;
     } else {
       monitor = std::make_unique<M>(std::forward<Args>(args)...);
-      monitor->share_decls_ = false;
     }
     monitor->reusable_ = detail::ReusableRuntime<M>::value;
     M& ref = *monitor;
@@ -961,6 +960,11 @@ class Runtime {
     return machines_.size();
   }
   [[nodiscard]] const std::string& Log() const noexcept { return log_; }
+  /// Moves the readable log out (empty unless logging); the runtime's log is
+  /// left empty.
+  [[nodiscard]] std::string TakeLog() noexcept {
+    return std::exchange(log_, {});
+  }
 
   // ---- Internal API used by Machine / Monitor ----
 
@@ -1065,7 +1069,7 @@ class Runtime {
   std::vector<std::function<void(StateHasher&)>> fp_probes_;
   Fingerprint world_fp_ = 0;
   // Fault-plane state (inert unless fault_mode_).
-  /// FaultInjectionEnabled() || replay_faults, cached: the per-step and
+  /// faults.Enabled() || replay_faults, cached: the per-step and
   /// per-delivery fault hooks are one dead branch when off.
   const bool fault_mode_;
   /// options_.probe, cached: instrumentation points are one dead null-check

@@ -39,13 +39,7 @@ std::vector<WorkerAssignment> PartitionBudget(const TestConfig& config,
     a.strategy_budget = config.strategy_budget;
     a.seed = config.seed + offset;
     a.iterations = base + (static_cast<std::uint64_t>(w) < remainder ? 1 : 0);
-    a.max_crashes = config.max_crashes;
-    a.max_restarts = config.max_restarts;
-    a.drop_probability_den = config.drop_probability_den;
-    a.max_duplications = config.max_duplications;
-    a.max_partitions = config.max_partitions;
-    a.partition_heal_den = config.partition_heal_den;
-    a.fault_placement_points = config.fault_placement_points;
+    a.faults = config.faults;
     offset += a.iterations;
     assignments.push_back(a);
   }
@@ -63,8 +57,8 @@ std::string WorkerAssignment::Describe() const {
                         ->Name() +
                     " seeds=[" + std::to_string(seed) + "," +
                     std::to_string(seed + iterations) + ")";
-  if (FaultsEnabled()) {
-    out += max_partitions > 0 ? " +faults +partitions" : " +faults";
+  if (faults.Enabled()) {
+    out += faults.max_partitions > 0 ? " +faults +partitions" : " +faults";
   }
   return out;
 }
@@ -80,7 +74,7 @@ ExplorationPlan ExplorationPlan::Portfolio(const TestConfig& config,
   ExplorationPlan plan;
   plan.workers_ = PartitionBudget(config, workers);
   constexpr std::size_t rotation = std::size(kPortfolio);
-  const bool faults = config.FaultsEnabled();
+  const bool faults = config.faults.Enabled();
   for (WorkerAssignment& a : plan.workers_) {
     const PortfolioEntry& entry =
         kPortfolio[static_cast<std::size_t>(a.worker) % rotation];
@@ -93,21 +87,19 @@ ExplorationPlan ExplorationPlan::Portfolio(const TestConfig& config,
       // hunts pure-ordering bugs at full schedule depth while the other half
       // explores failure interleavings — a bug of either class wins the
       // first-bug race.
-      a.max_crashes = 0;
-      a.max_restarts = 0;
-      a.drop_probability_den = 0;
-      a.max_duplications = 0;
-      a.max_partitions = 0;
-      a.fault_placement_points = 0;
-    } else if (faults && config.max_partitions > 0 && a.worker % 4 == 2) {
+      a.faults = FaultPlan{};
+    } else if (faults && config.faults.max_partitions > 0 &&
+               a.worker % 4 == 2) {
       // When the config budgets partitions, every other faulted worker goes
-      // PARTITION-HEAVY: crash/drop/dup budgets zeroed so its whole fault
-      // budget drives partition-and-heal interleavings, the failure class
-      // the other faulted workers dilute across four fault kinds.
-      a.max_crashes = 0;
-      a.max_restarts = 0;
-      a.drop_probability_den = 0;
-      a.max_duplications = 0;
+      // PARTITION-HEAVY: it keeps only the partition, odds and placement
+      // fields, so its whole fault budget drives partition-and-heal
+      // interleavings, the failure class the other faulted workers dilute
+      // across four fault kinds.
+      const FaultPlan& all = config.faults;
+      a.faults = {.max_partitions = all.max_partitions,
+                  .partition_heal_den = all.partition_heal_den,
+                  .fault_odds_den = all.fault_odds_den,
+                  .fault_placement_points = all.fault_placement_points};
     }
     if (config.corpus_mutation && a.worker % 3 == 2) {
       // Corpus-fed run: every third worker mutates the shared corpus instead

@@ -27,23 +27,12 @@ struct WorkerAssignment {
   std::uint64_t seed = 0;        ///< base seed of this worker's range
   std::uint64_t iterations = 0;  ///< slice size; seeds cover [seed, seed+iterations)
 
-  // Fault-plane budgets this worker explores with (per execution). Shard
-  // copies the config's budgets to every worker; Portfolio additionally
-  // races fault-free workers against fault-heavy ones when the config has
-  // faults enabled, so the fleet covers both pure-ordering schedules and
-  // failure interleavings in one run.
-  std::uint64_t max_crashes = 0;
-  std::uint64_t max_restarts = 0;
-  std::uint64_t drop_probability_den = 0;
-  std::uint64_t max_duplications = 0;
-  std::uint64_t max_partitions = 0;
-  std::uint64_t partition_heal_den = 4;
-  int fault_placement_points = 0;
-
-  [[nodiscard]] bool FaultsEnabled() const noexcept {
-    return max_crashes > 0 || drop_probability_den > 0 ||
-           max_duplications > 0 || max_partitions > 0;
-  }
+  /// The fault plan this worker explores with. Shard copies the config's
+  /// plan to every worker; Portfolio additionally races fault-free workers
+  /// against fault-heavy ones when the config has faults enabled, so the
+  /// fleet covers both pure-ordering schedules and failure interleavings in
+  /// one run.
+  FaultPlan faults;
 
   /// e.g. "w3 pct(5) seeds=[2032,2048) +faults" or "... +partitions".
   [[nodiscard]] std::string Describe() const;

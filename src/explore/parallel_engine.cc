@@ -34,7 +34,7 @@ std::string BreakdownTable(const std::vector<WorkerReport>& workers) {
                   static_cast<unsigned long long>(w.steps),
                   w.won ? "WINNER" : (w.bug_found ? "yes" : "-"));
     out += line;
-    if (w.assignment.FaultsEnabled()) {
+    if (w.assignment.faults.Enabled()) {
       std::snprintf(line, sizeof(line), "  faults=%llu",
                     static_cast<unsigned long long>(w.injected_faults.Total()));
       out += line;
@@ -73,19 +73,10 @@ ParallelTestReport ParallelTestingEngine::Run() {
         assignment.strategy, assignment.seed, assignment.strategy_budget);
     strategy_names[static_cast<std::size_t>(w)] = strategy->Name();
 
-    // Plan shards carry their own fault budgets (portfolio races fault-free
+    // Plan shards carry their own fault plans (portfolio races fault-free
     // workers against fault-heavy ones), so each worker explores under the
-    // budgets of ITS assignment, not the fleet config's.
-    TestConfig worker_config = config_;
-    worker_config.max_crashes = assignment.max_crashes;
-    worker_config.max_restarts = assignment.max_restarts;
-    worker_config.drop_probability_den = assignment.drop_probability_den;
-    worker_config.max_duplications = assignment.max_duplications;
-    worker_config.max_partitions = assignment.max_partitions;
-    worker_config.partition_heal_den = assignment.partition_heal_den;
-    worker_config.fault_placement_points = assignment.fault_placement_points;
-
-    campaign.RunWorker(w, worker_config, *strategy, assignment.iterations);
+    // plan of ITS assignment, not the fleet config's.
+    campaign.RunWorker(w, assignment.faults, *strategy, assignment.iterations);
   };
 
   std::vector<std::thread> threads;

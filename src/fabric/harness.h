@@ -30,11 +30,11 @@ systest::Harness MakeFailoverHarness(const FailoverOptions& options);
 /// Crash-during-reconfig scenario (fault plane): the cluster starts with
 /// `added_nodes` fresh idle secondaries being built — a reconfiguration —
 /// and hands the PRIMARY to the fault plane exactly while a build is
-/// pending. The crash budget (TestConfig::max_crashes) decides whether and
-/// where the primary dies inside that window; the cluster learns about it
-/// only through a racing ReplicaCrashed notification. The audit runs once
-/// the client is done AND the reconfiguration drained, and expects
-/// replicas + added_nodes converged reports.
+/// pending. The crash budget (TestConfig::faults.max_crashes) decides
+/// whether and where the primary dies inside that window; the cluster
+/// learns about it only through a racing ReplicaCrashed notification. The
+/// audit runs once the client is done AND the reconfiguration drained, and
+/// expects replicas + added_nodes converged reports.
 struct ReconfigOptions {
   FabricBugs bugs;
   std::size_t replicas = 3;

@@ -2,58 +2,53 @@
 
 namespace fabric {
 
-AggregatorMachine::AggregatorMachine(systest::MachineId driver,
-                                     int expected_records, FabricBugs bugs)
-    : driver_(driver), expected_records_(expected_records), bugs_(bugs) {
-  if (bugs_.unguarded_pipeline_config) {
+template <bool kGuarded>
+BasicAggregatorMachine<kGuarded>::BasicAggregatorMachine(
+    systest::MachineId driver, int expected_records)
+    : driver_(driver), expected_records_(expected_records) {
+  if constexpr (kGuarded) {
+    // Correct: records are deferred until the configuration has arrived.
+    State("Unconfigured")
+        .Defer<PipelineRecord>()
+        .On<PipelineConfig>(&BasicAggregatorMachine::OnConfig);
+    State("Configured").On<PipelineRecord>(&BasicAggregatorMachine::OnRecord);
+    SetStart("Unconfigured");
+  } else {
     // BUG (CScale NullReferenceException analogue): a single state whose
     // record handler dereferences the configuration unconditionally.
-    State("Running")
-        .On<PipelineConfig>(&AggregatorMachine::OnConfig)
-        .On<PipelineRecord>(&AggregatorMachine::OnRecordUnconfigured);
+    systest::StateBuilder running = State("Running");
+    running.On<PipelineConfig>(&BasicAggregatorMachine::OnConfig);
+    running.On<PipelineRecord>(&BasicAggregatorMachine::OnRecord);
     SetStart("Running");
-    return;
   }
-  // Correct: records are deferred until the configuration has arrived.
-  State("Unconfigured")
-      .Defer<PipelineRecord>()
-      .On<PipelineConfig>(&AggregatorMachine::OnConfig);
-  State("Configured").On<PipelineRecord>(&AggregatorMachine::OnRecord);
-  SetStart("Unconfigured");
 }
 
-void AggregatorMachine::OnConfig(const PipelineConfig& config) {
+template <bool kGuarded>
+void BasicAggregatorMachine<kGuarded>::OnConfig(const PipelineConfig& config) {
   scale_ = config.scale;
-  if (!bugs_.unguarded_pipeline_config) {
+  if constexpr (kGuarded) {
     Goto("Configured");
   }
 }
 
-void AggregatorMachine::OnRecordUnconfigured(const PipelineRecord& record) {
-  // The unguarded dereference: with no configuration present this is the
-  // modeled null-reference crash.
-  Assert(scale_.has_value(),
-         "null dereference: aggregator consumed a record before its routing "
-         "configuration arrived");
-  Account(record);
-}
-
-void AggregatorMachine::OnRecord(const PipelineRecord& record) {
-  Account(record);
-}
-
-void AggregatorMachine::Account(const PipelineRecord& record) {
+template <bool kGuarded>
+void BasicAggregatorMachine<kGuarded>::OnRecord(const PipelineRecord& record) {
+  if constexpr (!kGuarded) {
+    // The unguarded dereference: with no configuration present this is the
+    // modeled null-reference crash.
+    Assert(scale_.has_value(),
+           "null dereference: aggregator consumed a record before its "
+           "routing configuration arrived");
+  }
   aggregate_ += record.value * *scale_;
-  ++seen_;
-  MaybeFinish();
-}
-
-void AggregatorMachine::MaybeFinish() {
-  if (seen_ == expected_records_) {
+  if (++seen_ == expected_records_) {
     Send<PipelineResult>(driver_, aggregate_);
     Halt();
   }
 }
+
+template class BasicAggregatorMachine<true>;
+template class BasicAggregatorMachine<false>;
 
 PipelineSourceMachine::PipelineSourceMachine(systest::MachineId aggregator,
                                              int records,

@@ -17,33 +17,30 @@
 
 namespace fabric {
 
-/// Downstream aggregation stage. Correct behavior: records that arrive
-/// before the configuration are deferred; buggy behavior: the configuration
-/// is dereferenced unconditionally.
-class AggregatorMachine final : public systest::Machine {
+/// Downstream aggregation stage. Guarded (AggregatorMachine, the correct
+/// behavior): records that arrive before the configuration are deferred.
+/// Unguarded (UnguardedAggregatorMachine, created under
+/// FabricBugs::unguarded_pipeline_config): the configuration is dereferenced
+/// unconditionally. Each variant is its own type declaring one fixed state
+/// graph, so both share compiled declarations per type.
+template <bool kGuarded>
+class BasicAggregatorMachine final : public systest::Machine {
  public:
-  /// The constructor declares a DIFFERENT state graph when the bug is
-  /// injected, so this type cannot share compiled declarations per type.
-  static constexpr bool kShareStateDecls = false;
-
-  AggregatorMachine(systest::MachineId driver, int expected_records,
-                    FabricBugs bugs);
+  BasicAggregatorMachine(systest::MachineId driver, int expected_records);
 
  private:
   void OnConfig(const PipelineConfig& config);
-  void OnRecordUnconfigured(const PipelineRecord& record);
   void OnRecord(const PipelineRecord& record);
-
-  void Account(const PipelineRecord& record);
-  void MaybeFinish();
 
   systest::MachineId driver_;
   int expected_records_;
-  FabricBugs bugs_;
   std::optional<std::int64_t> scale_;
   std::int64_t aggregate_ = 0;
   int seen_ = 0;
 };
+
+using AggregatorMachine = BasicAggregatorMachine<true>;
+using UnguardedAggregatorMachine = BasicAggregatorMachine<false>;
 
 /// Upstream stage: transforms client-visible values into derived records and
 /// ships them over the modeled RPC channel.

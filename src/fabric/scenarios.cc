@@ -95,7 +95,8 @@ SYSTEST_REGISTER_SCENARIO(fabric_failover_fixed) {
 // Production-shaped crash scenario (fault plane): a reconfiguration adds a
 // node to the replica set, and the PRIMARY is crashable exactly while the
 // build is in flight — the scheduler picks the crash point via the
-// TestConfig::max_crashes budget (SetCrashable + budgets, no failure timer).
+// TestConfig::faults.max_crashes budget (SetCrashable + budgets, no failure
+// timer).
 // With the promotion guard on this must converge under every placement; the
 // "buggy" param re-introduces the sec. 5 promote-during-copy bug, which the
 // crash-driven failover rediscovers.
@@ -129,8 +130,8 @@ SYSTEST_REGISTER_SCENARIO(fabric_primary_crash_during_reconfig) {
     systest::TestConfig config = DefaultConfig();
     // One fault-plane crash, permanent (the cluster launches a replacement;
     // the replica process itself never comes back).
-    config.max_crashes = 1;
-    config.max_restarts = 0;
+    config.faults.max_crashes = 1;
+    config.faults.max_restarts = 0;
     return config;
   };
   return s;

@@ -24,7 +24,7 @@ struct MigrationHarnessOptions {
   /// script is set for a service it overrides random generation.
   std::vector<std::vector<ScriptedOp>> scripts;
   /// Hand the migrator job to the fault plane (Runtime::SetCrashable): the
-  /// TestConfig::max_crashes budget decides whether and where it dies
+  /// TestConfig::faults.max_crashes budget decides whether and where it dies
   /// mid-move; the driver then launches a FRESH migrator job that must
   /// converge from the dead one's intermediate partition state. The window
   /// closes right before MigrationDone, so a completed migration is never

@@ -47,11 +47,11 @@ SYSTEST_REGISTER_SCENARIO(mtable_backupnewstream) {
 
 // Crash-recovery scenario (fault plane): the FIXED migration protocol with
 // the migrator job itself handed to the fault plane — the scheduler decides
-// whether and where the job dies (SetCrashable + TestConfig::max_crashes),
-// including mid-copy and mid-delete; the driver launches a fresh job that
-// must converge from the persisted partition state while services keep
-// operating. The differential checker and the completion liveness monitor
-// judge every crash placement.
+// whether and where the job dies (SetCrashable +
+// TestConfig::faults.max_crashes), including mid-copy and mid-delete; the
+// driver launches a fresh job that must converge from the persisted
+// partition state while services keep operating. The differential checker
+// and the completion liveness monitor judge every crash placement.
 SYSTEST_REGISTER_SCENARIO(mtable_migrator_crash_mid_move) {
   Scenario s;
   s.name = "mtable-migrator-crash-mid-move";
@@ -69,8 +69,8 @@ SYSTEST_REGISTER_SCENARIO(mtable_migrator_crash_mid_move) {
     systest::TestConfig config = DefaultConfig();
     // One job crash per execution; the job never restarts in place — the
     // driver's relaunch is the recovery path.
-    config.max_crashes = 1;
-    config.max_restarts = 0;
+    config.faults.max_crashes = 1;
+    config.faults.max_restarts = 0;
     return config;
   };
   return s;

@@ -42,10 +42,11 @@ inline constexpr const char* kFaultDrops = "faults.drops";
 inline constexpr const char* kFaultDuplications = "faults.duplications";
 inline constexpr const char* kEnabledSetSize = "enabled_set_size";
 inline constexpr const char* kExecutionSteps = "execution_steps";
-// Event allocator telemetry (core/event_arena.h): pool free-list hit/miss
-// split on the fresh path, arena bump-allocation volume on the recycled
-// path. A healthy recycled campaign shows arena allocations dominating and
-// pool misses flat after warmup.
+// Event allocator telemetry (core/event_arena.h): arena bump-allocation
+// volume (every runner execution runs on its arena) and the pool's
+// free-list hit/miss split (events allocated outside the arena, such as the
+// setup prototypes a seal clones). A healthy campaign shows arena
+// allocations dominating and pool traffic flat after the first execution.
 inline constexpr const char* kEventPoolHits = "event_pool.hits";
 inline constexpr const char* kEventPoolMisses = "event_pool.misses";
 inline constexpr const char* kEventArenaAllocations = "event_arena.allocations";

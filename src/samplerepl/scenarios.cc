@@ -99,8 +99,8 @@ SYSTEST_REGISTER_SCENARIO(samplerepl_node_crash) {
   };
   s.default_config = [] {
     systest::TestConfig config = DefaultConfig();
-    config.max_crashes = 1;
-    config.max_restarts = 1;
+    config.faults.max_crashes = 1;
+    config.faults.max_restarts = 1;
     return config;
   };
   return s;
@@ -133,7 +133,7 @@ SYSTEST_REGISTER_SCENARIO(samplerepl_partition_heal) {
   };
   s.default_config = [] {
     systest::TestConfig config = DefaultConfig();
-    config.max_partitions = 1;  // heal odds stay at the engine default
+    config.faults.max_partitions = 1;  // heal odds stay at the engine default
     return config;
   };
   return s;

@@ -31,8 +31,8 @@ systest::TestConfig DefaultConfig(systest::StrategyName strategy) {
   // per execution (the ENs opt in via DriverOptions::crashable_nodes).
   // Crashes are permanent; the driver launches a replacement EN instead.
   // Scenario 1 (pure replication, no failure) is max_crashes = 0.
-  config.max_crashes = 1;
-  config.max_restarts = 0;
+  config.faults.max_crashes = 1;
+  config.faults.max_restarts = 0;
   return config;
 }
 

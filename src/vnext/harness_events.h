@@ -81,8 +81,8 @@ struct CopyResponseEvent final : systest::Event {
 /// Crashed EN -> TestingDriver (sent from Machine::OnCrash when the fault
 /// plane kills the node): the driver launches a replacement EN, completing
 /// the scenario-2 recovery loop of paper Fig. 10. The failure itself is
-/// scheduler-controlled (Runtime::SetCrashable + TestConfig::max_crashes),
-/// not a hand-rolled injection.
+/// scheduler-controlled (Runtime::SetCrashable +
+/// TestConfig::faults.max_crashes), not a hand-rolled injection.
 struct ENCrashedEvent final : systest::Event {
   explicit ENCrashedEvent(NodeId node) : node(node) {}
   NodeId node;

@@ -28,7 +28,7 @@ std::vector<ParamSpec> Params() {
       {"initial-replicas", "nodes holding the extent at start (default 3)"},
       {"replace-crashed",
        "launch a fresh EN when one crashes (default true; crash count is "
-       "TestConfig::max_crashes / --max-crashes)"},
+       "TestConfig::faults.max_crashes / --max-crashes)"},
       {"replica-target", "desired replicas per extent (default 3)"},
   };
 }

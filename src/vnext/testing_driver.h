@@ -5,9 +5,9 @@
 // with the extent under-replicated and waits for replication; scenario 2
 // starts fully replicated, lets the FAULT PLANE crash a scheduler-chosen EN
 // at a scheduler-chosen point (Runtime::SetCrashable +
-// TestConfig::max_crashes — the driver carries no failure injection of its
-// own), launches a replacement when told of the crash, and waits for the
-// extent to be repaired.
+// TestConfig::faults.max_crashes — the driver carries no failure injection
+// of its own), launches a replacement when told of the crash, and waits for
+// the extent to be repaired.
 #pragma once
 
 #include <cstddef>

@@ -489,18 +489,18 @@ TEST(SessionOverrides, FaultKnobsFlowThroughResolveConfig) {
   config.max_duplications = 4;
   config.fault_odds_den = 8;
   const TestConfig tc = TestSession(config).ResolveConfig();
-  EXPECT_TRUE(tc.FaultsEnabled());
-  EXPECT_EQ(tc.max_crashes, 2u);
-  EXPECT_EQ(tc.max_restarts, 1u);
-  EXPECT_EQ(tc.drop_probability_den, 32u);
-  EXPECT_EQ(tc.max_duplications, 4u);
-  EXPECT_EQ(tc.fault_odds_den, 8u);
+  EXPECT_TRUE(tc.faults.Enabled());
+  EXPECT_EQ(tc.faults.max_crashes, 2u);
+  EXPECT_EQ(tc.faults.max_restarts, 1u);
+  EXPECT_EQ(tc.faults.drop_probability_den, 32u);
+  EXPECT_EQ(tc.faults.max_duplications, 4u);
+  EXPECT_EQ(tc.faults.fault_odds_den, 8u);
   // And the crash-recovery scenario carries its own fault defaults.
   SessionConfig scenario_default;
   scenario_default.scenario = "samplerepl-node-crash";
   const TestConfig sd = TestSession(scenario_default).ResolveConfig();
-  EXPECT_EQ(sd.max_crashes, 1u);
-  EXPECT_EQ(sd.max_restarts, 1u);
+  EXPECT_EQ(sd.faults.max_crashes, 1u);
+  EXPECT_EQ(sd.faults.max_restarts, 1u);
 }
 
 TEST(SessionReporters, FaultSessionEmitsInjectedFaultFieldsAndSchedule) {

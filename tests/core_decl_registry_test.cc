@@ -6,6 +6,7 @@
 
 #include "core/event_queue.h"
 #include "core/systest.h"
+#include "fabric/pipeline.h"
 
 namespace {
 
@@ -34,26 +35,6 @@ class RegMachineB final : public Machine {
   RegMachineB() {
     State("Only").On<RegProbe>(&RegMachineB::OnProbe);
     SetStart("Only");
-  }
-
- private:
-  void OnProbe(const RegProbe&) {}
-};
-
-/// Per-instance state graphs (mirrors fabric's AggregatorMachine): must NOT
-/// share a registry decl.
-class RegUnsharedMachine final : public Machine {
- public:
-  static constexpr bool kShareStateDecls = false;
-
-  explicit RegUnsharedMachine(bool alt) {
-    if (alt) {
-      State("Alt").On<RegProbe>(&RegUnsharedMachine::OnProbe);
-      SetStart("Alt");
-    } else {
-      State("Base").On<RegProbe>(&RegUnsharedMachine::OnProbe);
-      SetStart("Base");
-    }
   }
 
  private:
@@ -96,24 +77,34 @@ TEST(DeclRegistry, TwoRuntimesInDifferentOrdersShareOneDeclPerType) {
   EXPECT_GE(decl_a1->states[0].dispatch.size(), 1u);
 }
 
-TEST(DeclRegistry, OptedOutTypeGetsPerInstanceDecls) {
+TEST(DeclRegistry, AggregatorVariantsGetTwoRegistryDecls) {
+  // fabric's guarded and unguarded aggregators declare different state
+  // graphs, so they are two types with one registry decl each.
   systest::RoundRobinStrategy strategy;
   strategy.PrepareIteration(0, 100);
   systest::Runtime rt(strategy);
-  const MachineId base = rt.CreateMachine<RegUnsharedMachine>("base", false);
-  const MachineId alt = rt.CreateMachine<RegUnsharedMachine>("alt", true);
+  const MachineId driver = rt.CreateMachine<RegMachineB>("driver");
+  const MachineId guarded =
+      rt.CreateMachine<fabric::AggregatorMachine>("guarded", driver, 1);
+  const MachineId unguarded = rt.CreateMachine<
+      fabric::UnguardedAggregatorMachine>("unguarded", driver, 1);
 
-  const auto* base_decl = rt.FindMachine(base)->StateDecls();
-  const auto* alt_decl = rt.FindMachine(alt)->StateDecls();
-  ASSERT_NE(base_decl, nullptr);
-  ASSERT_NE(alt_decl, nullptr);
-  EXPECT_NE(base_decl, alt_decl);
-  EXPECT_EQ(base_decl->states[0].name, "Base");
-  EXPECT_EQ(alt_decl->states[0].name, "Alt");
-  // Never published to the shared registry.
+  const auto* guarded_decl = rt.FindMachine(guarded)->StateDecls();
+  const auto* unguarded_decl = rt.FindMachine(unguarded)->StateDecls();
+  ASSERT_NE(guarded_decl, nullptr);
+  ASSERT_NE(unguarded_decl, nullptr);
+  EXPECT_NE(guarded_decl, unguarded_decl);
   EXPECT_EQ(systest::detail::DeclRegistry::FindMachineDecl(
-                std::type_index(typeid(RegUnsharedMachine))),
-            nullptr);
+                std::type_index(typeid(fabric::AggregatorMachine))),
+            guarded_decl);
+  EXPECT_EQ(systest::detail::DeclRegistry::FindMachineDecl(
+                std::type_index(typeid(fabric::UnguardedAggregatorMachine))),
+            unguarded_decl);
+  ASSERT_EQ(guarded_decl->states.size(), 2u);
+  EXPECT_EQ(guarded_decl->states[0].name, "Configured");
+  EXPECT_EQ(guarded_decl->states[1].name, "Unconfigured");
+  ASSERT_EQ(unguarded_decl->states.size(), 1u);
+  EXPECT_EQ(unguarded_decl->states[0].name, "Running");
 }
 
 TEST(DeclRegistry, SecondInstanceSkipsDeclarationBuildButBehavesTheSame) {

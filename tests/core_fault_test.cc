@@ -181,7 +181,7 @@ TEST(FaultPlane, CrashWipesQueueAndDisablesMachine) {
   ScriptedFaultStrategy strategy;
   strategy.step_faults = {{0, FaultDecision::Kind::kCrash, MachineId{1}}};
   RuntimeOptions options;
-  options.max_crashes = 1;
+  options.faults.max_crashes = 1;
   Runtime rt(strategy, options);
   ProberPair(3)(rt);
 
@@ -201,7 +201,7 @@ TEST(FaultPlane, DeliveriesToCrashedMachineAreDropped) {
   ScriptedFaultStrategy strategy;
   strategy.step_faults = {{0, FaultDecision::Kind::kCrash, MachineId{1}}};
   RuntimeOptions options;
-  options.max_crashes = 1;
+  options.faults.max_crashes = 1;
   Runtime rt(strategy, options);
   ProberPair(1)(rt);
   while (rt.Step()) {
@@ -216,8 +216,8 @@ TEST(FaultPlane, RestartRunsStartEntryWithDurableState) {
   strategy.step_faults = {{2, FaultDecision::Kind::kCrash, MachineId{1}},
                           {4, FaultDecision::Kind::kRestart, MachineId{1}}};
   RuntimeOptions options;
-  options.max_crashes = 1;
-  options.max_restarts = 1;
+  options.faults.max_crashes = 1;
+  options.faults.max_restarts = 1;
   Runtime rt(strategy, options);
   rt.CreateMachine<Restartable>("R");
   rt.SetCrashable(MachineId{1});
@@ -240,7 +240,7 @@ TEST(FaultPlane, OnCrashSeparatesVolatileFromDurableState) {
   // at the step-3 boundary with state to lose.
   strategy.step_faults = {{3, FaultDecision::Kind::kCrash, MachineId{1}}};
   RuntimeOptions options;
-  options.max_crashes = 1;
+  options.faults.max_crashes = 1;
   Runtime rt(strategy, options);
   ProberPair(2)(rt);
   while (rt.Step()) {
@@ -257,9 +257,10 @@ TEST(FaultPlane, CrashBudgetIsEnforcedPerExecution) {
     c.max_steps = 200;
     c.strategy = "random";
     c.seed = 11;
-    c.max_crashes = 1;
-    c.max_restarts = 1;
-    c.fault_odds_den = 2;  // aggressive odds: faults fire almost every run
+    c.faults.max_crashes = 1;
+    c.faults.max_restarts = 1;
+    // Aggressive odds: faults fire almost every run
+    c.faults.fault_odds_den = 2;
     return c;
   }();
   config.Validate();
@@ -294,8 +295,8 @@ TEST(FaultPlane, NoCrashableMachinesMeansNoFaultQueries) {
         });
     (void)engine.Run();
   }
-  config.max_crashes = 2;
-  config.max_restarts = 2;
+  config.faults.max_crashes = 2;
+  config.faults.max_restarts = 2;
   std::vector<std::string> fault_traces;
   {
     TestingEngine engine(config, ProberPair(3, /*crashable=*/false));
@@ -315,7 +316,7 @@ TEST(FaultPlane, DropLosesExactlyTheScriptedDelivery) {
   ScriptedFaultStrategy strategy;
   strategy.delivery_faults = {{1, DeliveryFault::kDrop}};
   RuntimeOptions options;
-  options.drop_probability_den = 4;  // enables the choice point
+  options.faults.drop_probability_den = 4;  // enables the choice point
   Runtime rt(strategy, options);
   // Machine-to-machine traffic: A sends B three pings via a relay machine
   // pattern — simplest is B sending to A. Use harness-built pair but drive
@@ -346,7 +347,7 @@ TEST(FaultPlane, DuplicationDeliversTwiceAndSkipsUncopyableEvents) {
   strategy.delivery_faults = {{0, DeliveryFault::kDuplicate},
                               {1, DeliveryFault::kDuplicate}};
   RuntimeOptions options;
-  options.max_duplications = 8;
+  options.faults.max_duplications = 8;
   Runtime rt(strategy, options);
   const MachineId a = rt.CreateMachine<Prober>("A");
   struct Sender final : Machine {
@@ -389,7 +390,7 @@ TEST(FaultPlane, SelfSendsAndHarnessSendsAreExempt) {
     strategy.delivery_faults.push_back({i, DeliveryFault::kDrop});
   }
   RuntimeOptions options;
-  options.drop_probability_den = 2;
+  options.faults.drop_probability_den = 2;
   Runtime rt(strategy, options);
   rt.CreateMachine<SelfLooper>("L");
   rt.SendEvent<Ping>(MachineId{1}, 0);  // harness send: exempt
@@ -409,8 +410,8 @@ TEST(FaultPlane, FaultDecisionsRecordedAndSerializedAsV2) {
   strategy.step_faults = {{1, FaultDecision::Kind::kCrash, MachineId{1}},
                           {3, FaultDecision::Kind::kRestart, MachineId{1}}};
   RuntimeOptions options;
-  options.max_crashes = 1;
-  options.max_restarts = 1;
+  options.faults.max_crashes = 1;
+  options.faults.max_restarts = 1;
   Runtime rt(strategy, options);
   ProberPair(3)(rt);
   while (rt.Step()) {
@@ -437,8 +438,8 @@ TEST(FaultPlane, ReplayReappliesFaultScheduleWithoutFaultConfig) {
 
   TestConfig explore = samplerepl::DefaultConfig();
   explore.iterations = 5'000;
-  explore.max_crashes = 1;
-  explore.max_restarts = 1;
+  explore.faults.max_crashes = 1;
+  explore.faults.max_restarts = 1;
   TestingEngine explorer(explore, harness);
   const TestReport found = explorer.Run();
   ASSERT_TRUE(found.bug_found) << "crash-recovery bug not found in budget";
@@ -488,8 +489,8 @@ TEST(FaultPlane, DropAndDuplicationReplayFromTheTraceAlone) {
     strategy.delivery_faults = {{0, DeliveryFault::kDuplicate},
                                 {2, DeliveryFault::kDrop}};
     RuntimeOptions options;
-    options.drop_probability_den = 4;
-    options.max_duplications = 1;
+    options.faults.drop_probability_den = 4;
+    options.faults.max_duplications = 1;
     Runtime rt(strategy, options);
     harness(rt);
     while (rt.Step()) {
@@ -551,7 +552,8 @@ TEST(FaultPlane, CrashChangesExecutionFingerprint) {
       strategy.step_faults = {{1, FaultDecision::Kind::kCrash, MachineId{1}}};
     }
     RuntimeOptions options;
-    options.max_crashes = 1;  // SAME options both runs: budget hash aligned
+    // SAME options both runs: budget hash aligned
+    options.faults.max_crashes = 1;
     options.stateful = true;
     auto rt = std::make_unique<Runtime>(strategy, options);
     ProberPair(2)(*rt);
@@ -567,8 +569,8 @@ TEST(FaultPlane, IncrementalFingerprintMatchesRecomputeUnderFaults) {
   strategy.step_faults = {{1, FaultDecision::Kind::kCrash, MachineId{1}},
                           {3, FaultDecision::Kind::kRestart, MachineId{1}}};
   RuntimeOptions options;
-  options.max_crashes = 1;
-  options.max_restarts = 1;
+  options.faults.max_crashes = 1;
+  options.faults.max_restarts = 1;
   options.stateful = true;
   options.fingerprint_payloads = true;
   Runtime rt(strategy, options);
@@ -608,16 +610,16 @@ TEST(FaultPlane, ValidateRejectsBrokenFaultConfigs) {
   config.Validate();
 
   TestConfig restarts_only = config;
-  restarts_only.max_restarts = 1;
+  restarts_only.faults.max_restarts = 1;
   EXPECT_THROW(restarts_only.Validate(), std::invalid_argument);
 
   TestConfig drop_all = config;
-  drop_all.drop_probability_den = 1;
+  drop_all.faults.drop_probability_den = 1;
   EXPECT_THROW(drop_all.Validate(), std::invalid_argument);
 
   TestConfig degenerate_odds = config;
-  degenerate_odds.max_crashes = 1;
-  degenerate_odds.fault_odds_den = 1;
+  degenerate_odds.faults.max_crashes = 1;
+  degenerate_odds.faults.fault_odds_den = 1;
   EXPECT_THROW(degenerate_odds.Validate(), std::invalid_argument);
 
   TestConfig zero_prune = config;
@@ -626,10 +628,10 @@ TEST(FaultPlane, ValidateRejectsBrokenFaultConfigs) {
   EXPECT_THROW(zero_prune.Validate(), std::invalid_argument);
 
   TestConfig ok = config;
-  ok.max_crashes = 2;
-  ok.max_restarts = 2;
-  ok.drop_probability_den = 16;
-  ok.max_duplications = 3;
+  ok.faults.max_crashes = 2;
+  ok.faults.max_restarts = 2;
+  ok.faults.drop_probability_den = 16;
+  ok.faults.max_duplications = 3;
   ok.Validate();  // no throw
 }
 

@@ -224,7 +224,7 @@ TEST(PartitionPlane, UnhealedPartitionDropsAllTrafficButMachineKeepsRunning) {
   ScriptedPartitionStrategy strategy;
   strategy.step_faults = {{0, FaultDecision::Kind::kPartition, MachineId{1}}};
   RuntimeOptions options;
-  options.max_partitions = 1;
+  options.faults.max_partitions = 1;
   Runtime rt(strategy, options);
   PacedPair(4)(rt);
   while (rt.Step()) {
@@ -245,7 +245,7 @@ TEST(PartitionPlane, HealRestoresDeliveryAfterTheIsolationWindow) {
   strategy.step_faults = {{0, FaultDecision::Kind::kPartition, MachineId{1}},
                           {3, FaultDecision::Kind::kHeal, MachineId{1}}};
   RuntimeOptions options;
-  options.max_partitions = 1;
+  options.faults.max_partitions = 1;
   Runtime rt(strategy, options);
   PacedPair(6)(rt);
   while (rt.Step()) {
@@ -271,8 +271,9 @@ TEST(PartitionPlane, PartitionBudgetIsEnforcedPerExecution) {
     c.max_steps = 200;
     c.strategy = "random";
     c.seed = 13;
-    c.max_partitions = 1;
-    c.fault_odds_den = 2;  // aggressive odds: partitions fire almost always
+    c.faults.max_partitions = 1;
+    // Aggressive odds: partitions fire almost always
+    c.faults.fault_odds_den = 2;
     return c;
   }();
   config.Validate();
@@ -309,7 +310,7 @@ TEST(PartitionPlane, NoPartitionableMachinesMeansNoFaultQueries) {
         });
     (void)engine.Run();
   }
-  config.max_partitions = 2;
+  config.faults.max_partitions = 2;
   std::vector<std::string> partition_traces;
   {
     TestingEngine engine(config, PacedPair(3, /*partitionable=*/false));
@@ -333,7 +334,8 @@ TEST(PartitionPlane, PartitionChangesExecutionFingerprint) {
           {1, FaultDecision::Kind::kPartition, MachineId{1}}};
     }
     RuntimeOptions options;
-    options.max_partitions = 1;  // SAME options both runs: budgets aligned
+    // SAME options both runs: budgets aligned
+    options.faults.max_partitions = 1;
     options.stateful = true;
     auto rt = std::make_unique<Runtime>(strategy, options);
     PacedPair(2)(*rt);
@@ -349,7 +351,7 @@ TEST(PartitionPlane, IncrementalFingerprintMatchesRecomputeUnderPartitions) {
   strategy.step_faults = {{1, FaultDecision::Kind::kPartition, MachineId{1}},
                           {4, FaultDecision::Kind::kHeal, MachineId{1}}};
   RuntimeOptions options;
-  options.max_partitions = 1;
+  options.faults.max_partitions = 1;
   options.stateful = true;
   options.fingerprint_payloads = true;
   Runtime rt(strategy, options);
@@ -392,9 +394,10 @@ TEST(FaultPlacement, DestructiveFaultsFireOnlyAtSampledPoints) {
     const auto span = strategy.PlacedFaultPoints();
     const std::vector<std::uint64_t> points(span.begin(), span.end());
     RuntimeOptions options;
-    options.max_crashes = 1;
-    options.max_partitions = 1;
-    options.fault_odds_den = 2;  // would fire nearly every step if geometric
+    options.faults.max_crashes = 1;
+    options.faults.max_partitions = 1;
+    // Would fire nearly every step if geometric
+    options.faults.fault_odds_den = 2;
     Runtime rt(strategy, options);
     PacedPair(12)(rt);
     rt.SetCrashable(MachineId{1});
@@ -429,7 +432,7 @@ TEST(FaultPlacement, UnarmedStrategyKeepsGeometricPlacement) {
   strategy.SetFaultPlacementPoints(4);
   strategy.step_faults = {{0, FaultDecision::Kind::kPartition, MachineId{1}}};
   RuntimeOptions options;
-  options.max_partitions = 1;
+  options.faults.max_partitions = 1;
   Runtime rt(strategy, options);
   PacedPair(3)(rt);
   while (rt.Step()) {
@@ -447,23 +450,24 @@ TEST(PartitionPlane, ValidateRejectsBrokenPartitionConfigs) {
   config.Validate();
 
   TestConfig heal_every_step = config;
-  heal_every_step.max_partitions = 1;
-  heal_every_step.partition_heal_den = 1;
+  heal_every_step.faults.max_partitions = 1;
+  heal_every_step.faults.partition_heal_den = 1;
   EXPECT_THROW(heal_every_step.Validate(), std::invalid_argument);
 
   TestConfig placement_without_faults = config;
-  placement_without_faults.fault_placement_points = 2;
+  placement_without_faults.faults.fault_placement_points = 2;
   EXPECT_THROW(placement_without_faults.Validate(), std::invalid_argument);
 
   TestConfig ok = config;
-  ok.max_partitions = 2;
-  ok.partition_heal_den = 4;
-  ok.fault_placement_points = 2;
+  ok.faults.max_partitions = 2;
+  ok.faults.partition_heal_den = 4;
+  ok.faults.fault_placement_points = 2;
   ok.Validate();  // no throw
 
   TestConfig heals_off = config;
-  heals_off.max_partitions = 1;
-  heals_off.partition_heal_den = 0;  // partitions last the whole execution
+  heals_off.faults.max_partitions = 1;
+  // Partitions last the whole execution
+  heals_off.faults.partition_heal_den = 0;
   heals_off.Validate();              // no throw
 }
 
@@ -478,7 +482,7 @@ TEST(PartitionPlane, PartitionScheduleReplaysFromTheTraceAlone) {
     strategy.step_faults = {{0, FaultDecision::Kind::kPartition, MachineId{1}},
                             {3, FaultDecision::Kind::kHeal, MachineId{1}}};
     RuntimeOptions options;
-    options.max_partitions = 1;
+    options.faults.max_partitions = 1;
     Runtime rt(strategy, options);
     PacedPair(6)(rt);
     while (rt.Step()) {
@@ -516,7 +520,7 @@ TEST(PartitionPlane, SavedSampleReplTraceReplaysWithoutFaultFlags) {
 
   TestConfig explore = samplerepl::DefaultConfig();
   explore.iterations = 20;
-  explore.max_partitions = 1;
+  explore.faults.max_partitions = 1;
   Trace witness;
   TestingEngine engine(explore, harness);
   engine.SetIterationCallback(

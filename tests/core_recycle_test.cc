@@ -23,6 +23,7 @@ namespace {
 
 using systest::BugKind;
 using systest::Event;
+using systest::detail::EventAllocStats;
 using systest::ExecutionResult;
 using systest::ExecutionRunner;
 using systest::FingerprintSet;
@@ -37,6 +38,10 @@ TestConfig SmallConfig(std::uint64_t iterations) {
   config.seed = 77;
   config.strategy = "random";
   return config;
+}
+
+std::uint64_t PoolTraffic(const EventAllocStats& stats) {
+  return stats.pool_hits + stats.pool_misses;
 }
 
 struct BudgetOutcome {
@@ -123,11 +128,11 @@ TEST(RecycleTest, CrashRestartBudgetIsBitForBit) {
   // the reset must restore crashed/restart state AND the sealed crashable
   // baseline, or the next execution's fault plane diverges.
   TestConfig config = SmallConfig(300);
-  config.max_crashes = 2;
-  config.max_restarts = 2;
-  config.drop_probability_den = 16;
-  config.max_duplications = 2;
-  config.fault_odds_den = 8;
+  config.faults.max_crashes = 2;
+  config.faults.max_restarts = 2;
+  config.faults.drop_probability_den = 16;
+  config.faults.max_duplications = 2;
+  config.faults.fault_odds_den = 8;
   samplerepl::HarnessOptions options;
   options.crashable_nodes = true;
   options.liveness_monitor = false;
@@ -152,9 +157,10 @@ TEST(RecycleTest, PartitionBudgetIsBitForBit) {
   // Reuse after executions that end with a partition still installed: the
   // reset must clear partitioned_ flags and the partition counters.
   TestConfig config = SmallConfig(300);
-  config.max_partitions = 2;
-  config.partition_heal_den = 0;  // heals off: installed partitions persist
-  config.fault_odds_den = 8;
+  config.faults.max_partitions = 2;
+  // Heals off: installed partitions persist
+  config.faults.partition_heal_den = 0;
+  config.faults.fault_odds_den = 8;
   samplerepl::HarnessOptions options;
   options.partitionable_nodes = true;
   options.liveness_monitor = false;
@@ -264,6 +270,39 @@ TEST(RecycleTest, NonReusableMachineVetoesTheSeal) {
   const BudgetOutcome recycled = RunRecycled(config, harness, 20);
   EXPECT_FALSE(recycled.recycled);
   ExpectBitForBit(recycled, RunFresh(config, harness, 20));
+
+  // After the veto each execution builds a fresh Runtime, still on the
+  // runner's arena: the thread's event pool sees no traffic.
+  const auto strategy = systest::StrategyRegistry::Instance().Create(
+      config.strategy, config.seed, config.strategy_budget);
+  ExecutionRunner runner(config, harness, *strategy, nullptr);
+  (void)runner.RunOne(0, nullptr);  // the probe whose seal is vetoed
+  const EventAllocStats before = systest::detail::ThreadEventAllocStats();
+  for (std::uint64_t i = 1; i < 5; ++i) {
+    (void)runner.RunOne(i, nullptr);
+  }
+  const EventAllocStats after_runs = systest::detail::ThreadEventAllocStats();
+  EXPECT_GT(after_runs.arena_allocations, before.arena_allocations);
+  EXPECT_EQ(PoolTraffic(after_runs), PoolTraffic(before));
+
+  // Replay runs through the same runner: on the arena too, and with the
+  // log a bare logging Runtime replaying the trace writes.
+  const systest::Trace& trace = recycled.results.front().trace;
+  const systest::TestReport replayed =
+      systest::TestingEngine(config, harness).Replay(trace);
+  EXPECT_EQ(PoolTraffic(systest::detail::ThreadEventAllocStats()),
+            PoolTraffic(after_runs));
+  systest::ReplayStrategy replay(trace);
+  replay.PrepareIteration(0, config.max_steps);
+  systest::RuntimeOptions options =
+      systest::MakeRuntimeOptions(config, /*logging=*/true);
+  options.replay_faults = true;
+  systest::Runtime bare(replay, options);
+  systest::StepToCompletion(bare, harness, config.max_steps);
+  EXPECT_FALSE(replayed.bug_found);
+  EXPECT_FALSE(replayed.execution_log.empty());
+  EXPECT_EQ(replayed.execution_log, bare.Log());
+  EXPECT_EQ(replayed.bug_trace, trace);
 }
 
 /// Reusable machine that creates a fresh child machine mid-execution every
@@ -338,6 +377,31 @@ TEST(EventArenaTest, StaleEventReadAcrossEpochIsReportedUnderAsan) {
   systest::detail::EventArena arena;
   const systest::detail::ScopedEventArenaArm arm(&arena);
   arena.ResetEpoch();
+  const auto event = systest::MakeEvent<ArenaPayload>(9);
+  EXPECT_EQ(static_cast<const ArenaPayload&>(*event).value, 9);
+#endif
+}
+
+TEST(EventPoolTest, StaleEventReadAfterFreeIsReportedUnderAsan) {
+#if !defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "needs an AddressSanitizer build";
+#else
+  ASSERT_EQ(systest::detail::ArmedEventArena(), nullptr);
+  EXPECT_DEATH(
+      {
+        const int* stale = nullptr;
+        {
+          // No arena is armed, so the event comes from the thread's pool
+          // and its block goes back there when it dies.
+          auto event = systest::MakeEvent<ArenaPayload>(7);
+          stale = &static_cast<const ArenaPayload&>(*event).value;
+        }
+        const volatile int read = *stale;
+        (void)read;
+      },
+      "use-after-poison");
+  // A pooled block handed out again is readable.
+  systest::MakeEvent<ArenaPayload>(1).reset();
   const auto event = systest::MakeEvent<ArenaPayload>(9);
   EXPECT_EQ(static_cast<const ArenaPayload&>(*event).value, 9);
 #endif

@@ -339,15 +339,15 @@ TEST(ParallelEngine, FaultInjectionAcrossWorkersReplaysWinningTrace) {
   hopts.liveness_monitor = false;
   TestConfig config = samplerepl::DefaultConfig();
   config.iterations = 20'000;
-  config.max_crashes = 1;
-  config.max_restarts = 1;
+  config.faults.max_crashes = 1;
+  config.faults.max_restarts = 1;
   ParallelOptions options;
   options.threads = 4;
   ParallelTestingEngine engine(config, samplerepl::MakeHarness(hopts),
                                options);
   for (const WorkerAssignment& a : engine.Plan().Workers()) {
-    EXPECT_EQ(a.max_crashes, 1u);  // shards carry the fault budgets
-    EXPECT_TRUE(a.FaultsEnabled());
+    EXPECT_EQ(a.faults.max_crashes, 1u);  // shards carry the fault budgets
+    EXPECT_TRUE(a.faults.Enabled());
   }
   const ParallelTestReport report = engine.Run();
   ASSERT_TRUE(report.aggregate.bug_found);
@@ -445,13 +445,14 @@ TEST(ParallelEngine, PartitionInjectionAcrossWorkersReplaysWinningTrace) {
   config.max_steps = 200;
   config.seed = 1;
   config.strategy = "random";
-  config.max_partitions = 1;
+  config.faults.max_partitions = 1;
   ParallelOptions options;
   options.threads = 4;
   ParallelTestingEngine engine(config, partition_bug::MakeHarness(), options);
   for (const WorkerAssignment& a : engine.Plan().Workers()) {
-    EXPECT_EQ(a.max_partitions, 1u);  // shards carry the partition budget
-    EXPECT_TRUE(a.FaultsEnabled());
+    // Shards carry the partition budget
+    EXPECT_EQ(a.faults.max_partitions, 1u);
+    EXPECT_TRUE(a.faults.Enabled());
   }
   const ParallelTestReport report = engine.Run();
   ASSERT_TRUE(report.aggregate.bug_found);
@@ -470,7 +471,7 @@ TEST(ParallelEngine, PartitionInjectionAcrossWorkersReplaysWinningTrace) {
 
   // Independent serial replay of the winning trace, NO fault configuration.
   TestConfig replay_config = config;
-  replay_config.max_partitions = 0;
+  replay_config.faults.max_partitions = 0;
   TestingEngine serial(replay_config, partition_bug::MakeHarness());
   const TestReport replayed = serial.Replay(report.aggregate.bug_trace);
   ASSERT_TRUE(replayed.bug_found);
@@ -487,8 +488,8 @@ TEST(ParallelEngine, WorkersFeedAndSampleOneSharedCorpus) {
   hopts.liveness_monitor = false;
   TestConfig config = samplerepl::DefaultConfig();
   config.iterations = 800;
-  config.max_crashes = 1;
-  config.max_restarts = 1;
+  config.faults.max_crashes = 1;
+  config.faults.max_restarts = 1;
   config.stateful = true;
   config.strategy = "mutate";
   config.corpus_mutation = true;
@@ -543,21 +544,22 @@ TEST(ExplorationPlan, PortfolioConvertsEveryThirdWorkerToMutate) {
 // partition-and-heal schedules exclusively.
 TEST(ExplorationPlan, PortfolioDedicatesPartitionHeavyWorkers) {
   TestConfig config = RaceConfig();
-  config.max_crashes = 2;
-  config.drop_probability_den = 8;
-  config.max_partitions = 1;
+  config.faults.max_crashes = 2;
+  config.faults.drop_probability_den = 8;
+  config.faults.max_partitions = 1;
   const ExplorationPlan plan = ExplorationPlan::Portfolio(config, 8);
   for (const WorkerAssignment& a : plan.Workers()) {
     if (a.worker % 2 == 1) {
-      EXPECT_FALSE(a.FaultsEnabled());  // fault-free half
+      EXPECT_FALSE(a.faults.Enabled());  // fault-free half
     } else if (a.worker % 4 == 2) {
       // Partition-heavy: the whole fault budget drives partitions.
-      EXPECT_EQ(a.max_crashes, 0u);
-      EXPECT_EQ(a.drop_probability_den, 0u);
-      EXPECT_EQ(a.max_partitions, 1u);
+      EXPECT_EQ(a.faults.max_crashes, 0u);
+      EXPECT_EQ(a.faults.drop_probability_den, 0u);
+      EXPECT_EQ(a.faults.max_partitions, 1u);
     } else {
-      EXPECT_EQ(a.max_crashes, 2u);  // mixed-fault workers keep everything
-      EXPECT_EQ(a.max_partitions, 1u);
+      // Mixed-fault workers keep everything
+      EXPECT_EQ(a.faults.max_crashes, 2u);
+      EXPECT_EQ(a.faults.max_partitions, 1u);
     }
   }
 }
@@ -566,16 +568,16 @@ TEST(ExplorationPlan, PortfolioDedicatesPartitionHeavyWorkers) {
 // fault-free ones.
 TEST(ExplorationPlan, PortfolioAlternatesFaultHeavyAndFaultFreeWorkers) {
   TestConfig config = RaceConfig();
-  config.max_crashes = 2;
-  config.drop_probability_den = 8;
+  config.faults.max_crashes = 2;
+  config.faults.drop_probability_den = 8;
   const ExplorationPlan plan = ExplorationPlan::Portfolio(config, 6);
   int with_faults = 0;
   int without = 0;
   for (const WorkerAssignment& a : plan.Workers()) {
-    if (a.FaultsEnabled()) {
+    if (a.faults.Enabled()) {
       EXPECT_EQ(a.worker % 2, 0);
-      EXPECT_EQ(a.max_crashes, 2u);
-      EXPECT_EQ(a.drop_probability_den, 8u);
+      EXPECT_EQ(a.faults.max_crashes, 2u);
+      EXPECT_EQ(a.faults.drop_probability_den, 8u);
       ++with_faults;
     } else {
       EXPECT_EQ(a.worker % 2, 1);
@@ -587,7 +589,7 @@ TEST(ExplorationPlan, PortfolioAlternatesFaultHeavyAndFaultFreeWorkers) {
   // Without faults configured, portfolio assigns none anywhere.
   const ExplorationPlan plain = ExplorationPlan::Portfolio(RaceConfig(), 6);
   for (const WorkerAssignment& a : plain.Workers()) {
-    EXPECT_FALSE(a.FaultsEnabled());
+    EXPECT_FALSE(a.faults.Enabled());
   }
 }
 

@@ -245,7 +245,7 @@ TEST(VNextSystematic, Scenario1ReplicationPasses) {
   DriverOptions options = FixedScenario();
   options.initial_replicas = 1;
   TestConfig config = vnext::DefaultConfig("random");
-  config.max_crashes = 0;  // pure replication, no failure
+  config.faults.max_crashes = 0;  // pure replication, no failure
   config.iterations = 300;
   const TestReport report =
       TestingEngine(config, MakeExtentRepairHarness(options)).Run();
