@@ -6,8 +6,8 @@
 // Every bench accepts a `--json` flag (see ParseArgs): instead of
 // the human-readable table it then emits one JSON object per row of the form
 //   {"bench":..., "executions_per_sec":..., "steps_per_sec":..., "config":...}
-// which is the line format collected in BENCH_baseline.json and by the CI
-// perf-smoke job.
+// which CI's perf job keeps as an artifact for the benches it runs.
+// Performance claims are judged by perfbench/, not by these rows.
 #pragma once
 
 #include <chrono>
@@ -118,17 +118,12 @@ inline std::string HardwareDescription() {
 }
 
 /// Emits one machine-readable result line (see header comment).
-/// `extra_fields` is raw JSON injected as additional TOP-LEVEL fields (e.g.
-/// "\"hit_rate\":0.39") so tools/bench_compare.py can track bench-specific
-/// metrics without parsing the free-form config string; empty adds nothing.
 inline void EmitJson(const std::string& name, double executions_per_sec,
-                     double steps_per_sec, const std::string& config,
-                     const std::string& extra_fields = std::string()) {
+                     double steps_per_sec, const std::string& config) {
   std::printf(
       "{\"bench\":\"%s\",\"executions_per_sec\":%.1f,"
-      "\"steps_per_sec\":%.1f,%s%s\"config\":\"%s %s\"}\n",
-      name.c_str(), executions_per_sec, steps_per_sec, extra_fields.c_str(),
-      extra_fields.empty() ? "" : ",", config.c_str(),
+      "\"steps_per_sec\":%.1f,\"config\":\"%s %s\"}\n",
+      name.c_str(), executions_per_sec, steps_per_sec, config.c_str(),
       HardwareDescription().c_str());
   std::fflush(stdout);
 }

@@ -1,33 +1,23 @@
-// Guided-search bench: corpus-guided mutation ("mutate") vs the blind
-// strategies it races in the portfolio (random, PCT).
-//
-// Two tables:
-//
-//  * ttfb — time-to-first-bug. For each bug scenario the same budget is run
-//    over several independent seeds per strategy (stop_on_first_bug), and
-//    the row reports how many trials found the bug plus the mean executions
-//    and wall seconds until the first violation (not-found trials are
-//    charged the full budget). This is the paper's Table 2 question asked
-//    of the guided strategy: does replay-prefix mutation reach the buggy
-//    interleavings faster than blind search?
-//
-//  * states — distinct-state discovery under a fixed budget
-//    (stateful + fingerprint payloads, no early stop). Rows report distinct
-//    program states covered, per second and per execution. The corpus
-//    energy schedule biases mutate toward prefixes that recently discovered
-//    new states, so its win shows up here as coverage rate.
+// Guided-search bench: time-to-first-bug of corpus-guided mutation
+// ("mutate") vs the blind strategies it races in the portfolio (random,
+// PCT). For each bug scenario the same budget is run over several
+// independent seeds per strategy (stop_on_first_bug), and the row reports
+// how many trials found the bug plus the median and mean executions and
+// wall seconds until the first violation (not-found trials are charged the
+// full budget). This is the paper's Table 2 question asked of the guided
+// strategy: does replay-prefix mutation reach the buggy interleavings faster
+// than blind search? Distinct-state discovery under mutate is measured by
+// perfbench's `guided` workload.
 //
 // The mutate rows run with a fresh TraceCorpus wired into the engine
 // (SetCorpus to feed it, ScopedActiveCorpus so the registry factory hands
 // the strategy the same store) — exactly how api::TestSession arms it.
 //
-// Usage: guided_search [--json] [--only ttfb|states] [iterations] [ttfb-trials]
+// Usage: guided_search [--json] [iterations] [ttfb-trials]
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "api/scenario_registry.h"
@@ -75,28 +65,17 @@ TestReport RunOnce(const TestConfig& config, const systest::Harness& harness) {
   return engine.Run();
 }
 
-TestConfig BaseConfig(const Scenario& scenario, const char* strategy,
-                      std::uint64_t iterations) {
-  TestConfig config =
-      scenario.default_config ? scenario.default_config() : TestConfig{};
-  config.iterations = iterations;
-  config.strategy = strategy;
-  config.stateful = true;  // the interest signal mutate feeds on
-  if (std::string(strategy) == "mutate") {
-    config.corpus_mutation = true;
-  }
-  return config;
-}
-
-// ---------------------------------------------------------------------------
-// Table 1: time-to-first-bug.
-
 void RunTtfb(const char* scenario_name, const ParamMap& params,
              std::uint64_t iterations, int trials) {
   const Scenario& scenario = ScenarioRegistry::Instance().Get(scenario_name);
   const systest::Harness harness = scenario.make(params);
   for (const char* strategy : kStrategies) {
-    TestConfig config = BaseConfig(scenario, strategy, iterations);
+    TestConfig config =
+        scenario.default_config ? scenario.default_config() : TestConfig{};
+    config.iterations = iterations;
+    config.strategy = strategy;
+    config.stateful = true;  // the interest signal mutate feeds on
+    config.corpus_mutation = std::string(strategy) == "mutate";
     config.stop_on_first_bug = true;
     int found = 0;
     double total_all_seconds = 0.0;
@@ -145,147 +124,16 @@ void RunTtfb(const char* scenario_name, const ParamMap& params,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Table 2: distinct-state discovery rate.
-
-/// One strategy's discovery trajectory: every (cumulative distinct states,
-/// elapsed seconds) point at which an execution discovered something new.
-struct Trajectory {
-  std::vector<std::pair<std::uint64_t, double>> points;
-  std::uint64_t final_distinct = 0;
-  double total_seconds = 0.0;
-  std::uint64_t executions = 0;
-
-  /// Earliest wall time at which coverage reached `target` (-1 if never).
-  [[nodiscard]] double SecondsTo(std::uint64_t target) const {
-    for (const auto& [cum, secs] : points) {
-      if (cum >= target) return secs;
-    }
-    return -1.0;
-  }
-
-  /// Coverage reached within the first `seconds` of wall clock.
-  [[nodiscard]] std::uint64_t StatesWithin(double seconds) const {
-    std::uint64_t best = 0;
-    for (const auto& [cum, secs] : points) {
-      if (secs > seconds) break;
-      best = cum;
-    }
-    return best;
-  }
-};
-
-Trajectory RunTrajectory(const TestConfig& base,
-                         const systest::Harness& harness) {
-  TestConfig config = base;
-  Trajectory out;
-  std::uint64_t cum = 0;
-  const auto start = std::chrono::steady_clock::now();
-  const auto run = [&](TestingEngine& engine) {
-    engine.SetIterationCallback(
-        [&](std::uint64_t, const systest::ExecutionResult& result) {
-          if (result.fingerprint_misses > 0) {
-            cum += result.fingerprint_misses;
-            const std::chrono::duration<double> elapsed =
-                std::chrono::steady_clock::now() - start;
-            out.points.emplace_back(cum, elapsed.count());
-          }
-        });
-    const TestReport report = engine.Run();
-    out.final_distinct = report.distinct_states;
-    out.total_seconds = report.total_seconds;
-    out.executions = report.executions;
-  };
-  if (config.corpus_mutation) {
-    TraceCorpus corpus;
-    const ScopedActiveCorpus active(&corpus);
-    TestingEngine engine(config, harness);
-    engine.SetCorpus(&corpus);
-    run(engine);
-  } else {
-    TestingEngine engine(config, harness);
-    run(engine);
-  }
-  return out;
-}
-
-void RunStates(const char* scenario_name, const ParamMap& params,
-               std::uint64_t iterations) {
-  const Scenario& scenario = ScenarioRegistry::Instance().Get(scenario_name);
-  const systest::Harness harness = scenario.make(params);
-  // Every strategy runs the same EXECUTION budget, but strategies differ in
-  // cost per execution (mutated executions replay a prefix un-pruned), so
-  // the per-second headline is computed at EQUAL WALL CLOCK: the random
-  // baseline's full-budget wall time is the time slice, and each strategy is
-  // scored on the distinct states its own trajectory had covered within that
-  // slice. That is the operator's actual question — same seconds of CPU,
-  // which strategy covered more states? — and it can't be gamed from either
-  // side (averaging over the full budget would instead mostly measure how
-  // long the blind runner idles after its discovery plateau).
-  Trajectory rows[std::size(kStrategies)];
-  for (std::size_t i = 0; i < std::size(kStrategies); ++i) {
-    TestConfig config = BaseConfig(scenario, kStrategies[i], iterations);
-    config.stop_on_first_bug = false;  // full budget even on buggy scenarios
-    config.fingerprint_payloads = true;
-    rows[i] = RunTrajectory(config, harness);
-  }
-  const double slice = rows[0].total_seconds;  // random's full wall time
-  const std::uint64_t target = rows[0].final_distinct;
-  for (std::size_t i = 0; i < std::size(kStrategies); ++i) {
-    const Trajectory& row = rows[i];
-    const std::uint64_t states_in_slice = row.StatesWithin(slice);
-    const double states_per_sec =
-        slice > 0 ? static_cast<double>(states_in_slice) / slice : 0.0;
-    const double to_target = row.SecondsTo(target);
-    const double states_per_exec =
-        row.executions > 0 ? static_cast<double>(row.final_distinct) /
-                                 static_cast<double>(row.executions)
-                           : 0.0;
-    const std::string name = std::string("guided_search/states/") +
-                             scenario_name + "/" + kStrategies[i];
-    if (bench::JsonMode()) {
-      char extra[320];
-      std::snprintf(
-          extra, sizeof(extra),
-          "wall_slice=%.4f states_in_slice=%llu baseline_target=%llu "
-          "seconds_to_target=%.4f distinct_states=%llu "
-          "distinct_per_exec=%.3f total_seconds=%.4f iters=%llu",
-          slice, static_cast<unsigned long long>(states_in_slice),
-          static_cast<unsigned long long>(target), to_target,
-          static_cast<unsigned long long>(row.final_distinct),
-          states_per_exec, row.total_seconds,
-          static_cast<unsigned long long>(iterations));
-      bench::EmitJson(name, states_per_sec, states_per_exec, extra);
-    } else {
-      std::printf(
-          "  %-46s  %8llu in %.3fs slice -> %9.0f/s  (final %8llu, "
-          "%7.3f/exec, %.2fs)\n",
-          name.c_str(), static_cast<unsigned long long>(states_in_slice),
-          slice, states_per_sec,
-          static_cast<unsigned long long>(row.final_distinct),
-          states_per_exec, row.total_seconds);
-    }
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::ParseArgs(argc, argv);
   std::uint64_t iterations = 1500;
   int trials = 8;
-  bool run_ttfb = true;
-  bool run_states = true;
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--json") continue;
-    if (arg == "--only" && i + 1 < argc) {
-      const std::string which = argv[++i];
-      run_ttfb = which == "ttfb";
-      run_states = which == "states";
-      continue;
-    }
     if (positional == 0) {
       iterations = std::strtoull(arg.c_str(), nullptr, 10);
     } else {
@@ -297,25 +145,17 @@ int main(int argc, char** argv) {
     std::printf("guided search bench (%llu iterations, %d ttfb trials)\n",
                 static_cast<unsigned long long>(iterations), trials);
   }
-  // Time-to-first-bug. The node-crash safety bug is scaled up (7 nodes, all
-  // seven syncs counted before the Ack, three requests) so the buggy
-  // interleaving — a crash of a counted node in exactly the pre-Ack window —
-  // is a needle blind search cannot hit in a handful of executions; the
-  // mtable matrix row is a protocol bug none of the strategies reaches at
-  // bench budgets (rows tie at the full budget — kept as the honesty check
-  // that guidance does not regress a hard target).
-  if (run_ttfb) {
-    const ParamMap hard_crash{
-        {"nodes", "7"}, {"replica-target", "7"}, {"requests", "3"}};
-    RunTtfb("samplerepl-node-crash", hard_crash, iterations, trials);
-    RunTtfb("mtable-backupnewstream", ParamMap{}, iterations / 4,
-            trials / 2 > 0 ? trials / 2 : 1);
-  }
-  // Distinct-state coverage across three domains.
-  if (run_states) {
-    RunStates("samplerepl-node-crash", ParamMap{}, iterations);
-    RunStates("chaintable-lost-update", ParamMap{}, iterations);
-    RunStates("mtable-migration", ParamMap{}, iterations / 4);
-  }
+  // The node-crash safety bug is scaled up (7 nodes, all seven syncs counted
+  // before the Ack, three requests) so the buggy interleaving — a crash of a
+  // counted node in exactly the pre-Ack window — is a needle blind search
+  // cannot hit in a handful of executions; the mtable matrix row is a
+  // protocol bug none of the strategies reaches at bench budgets (rows tie at
+  // the full budget — kept as the honesty check that guidance does not
+  // regress a hard target).
+  const ParamMap hard_crash{
+      {"nodes", "7"}, {"replica-target", "7"}, {"requests", "3"}};
+  RunTtfb("samplerepl-node-crash", hard_crash, iterations, trials);
+  RunTtfb("mtable-backupnewstream", ParamMap{}, iterations / 4,
+          trials / 2 > 0 ? trials / 2 : 1);
   return 0;
 }

@@ -91,6 +91,17 @@ void HumanReporter::OnFinish(const SessionReport& report) {
                    static_cast<unsigned long long>(
                        report.report.visited_budget));
     }
+    if (report.report.PruneSaturated()) {
+      std::fprintf(out_,
+                   "note: %llu/%llu executions pruned on a clean run — the "
+                   "fingerprint view no longer tells states apart, so bugs "
+                   "deeper than the prune run stay unexplored. Add a "
+                   "FingerprintPayload hook or drop --stateful for this "
+                   "hunt.\n",
+                   static_cast<unsigned long long>(
+                       report.report.pruned_executions),
+                   static_cast<unsigned long long>(report.report.executions));
+    }
   }
   if (report.corpus_on) {
     std::fprintf(out_,
@@ -197,6 +208,8 @@ void JsonReporter::OnFinish(const SessionReport& report) {
     // HumanReporter's note.
     field("visited_set_saturated", r.VisitedSetSaturated() ? "true" : "false",
           false);
+    // Counterpart of HumanReporter's pruned-clean note.
+    field("prune_saturated", r.PruneSaturated() ? "true" : "false", false);
     field("visited_budget", std::to_string(r.visited_budget), false);
     // Tiered visited-set telemetry (core/fingerprint.h VisitedStats): level
     // occupancy plus compaction/spill traffic. CI's compaction smoke greps

@@ -175,6 +175,14 @@ struct TestReport {
            distinct_states >= visited_budget;
   }
 
+  /// A clean stateful campaign is prune-saturated when more than 90% of its
+  /// executions were pruned: the fingerprint view stopped telling states
+  /// apart, so the run capped schedule depth at the prune run and its clean
+  /// verdict says little about deeper bugs (README "Know the granularity").
+  [[nodiscard]] bool PruneSaturated() const noexcept {
+    return stateful && !bug_found && pruned_executions * 10 > executions * 9;
+  }
+
   /// Fraction of observed states that were already visited (0 when the run
   /// was not stateful or observed nothing).
   [[nodiscard]] double FingerprintHitRate() const noexcept {

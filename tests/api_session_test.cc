@@ -466,6 +466,32 @@ TEST(SessionReporters, CompactingSessionEmitsMergeWork) {
       << json;
 }
 
+// mtable's default view has ~130 reachable states, so a stateful hunt for a
+// deep migration bug prunes every execution and ends clean: the report must
+// say so, while the stateless run of the same campaign is not flagged.
+TEST(SessionReporters, PrunedCleanRunIsFlaggedPruneSaturated) {
+  SessionConfig config;
+  config.scenario = "mtable-migration";
+  config.params.Set("bug", "InsertBehindMigrator");
+  config.iterations = 2000;
+  config.stateful = true;
+  systest::api::JsonReporter reporter(stdout);
+  TestSession stateful_session(config);
+  stateful_session.AddObserver(&reporter);
+  const TestReport stateful = stateful_session.Run().report;
+  EXPECT_FALSE(stateful.bug_found);
+  EXPECT_TRUE(stateful.PruneSaturated())
+      << stateful.pruned_executions << "/" << stateful.executions;
+  EXPECT_NE(reporter.Last().find("\"prune_saturated\":true"),
+            std::string::npos)
+      << reporter.Last();
+
+  config.stateful = false;
+  config.iterations = 200;
+  TestSession stateless_session(config);
+  EXPECT_FALSE(stateless_session.Run().report.PruneSaturated());
+}
+
 TEST(SessionOverrides, StatefulKnobsFlowThroughResolveConfig) {
   SessionConfig config;
   config.scenario = "samplerepl-fixed";
